@@ -1,0 +1,8 @@
+"""Import paths for the benchmark's own tests: the package source and the
+benchmark modules, both from this checkout."""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(BENCH.parent / "src"), str(BENCH)]
