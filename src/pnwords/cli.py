@@ -92,9 +92,14 @@ def _cmd_verify_gray(args):
     checker = analysis.GrayChecker(cyclic=args.cyclic)
     if args.stdin:
         count = 0
-        for line in sys.stdin:
-            checker.feed(core.parse_word(line))
-            count += 1
+        for count, line in enumerate(sys.stdin, 1):
+            try:
+                word = core.parse_word(line)
+                if not word:
+                    raise ValueError("blank line")
+                checker.feed(word)
+            except ValueError as exc:
+                raise ValueError(f"line {count}: {exc}") from exc
     else:
         if args.n is None:
             raise ValueError("verify-gray needs --n or --stdin")

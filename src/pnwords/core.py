@@ -17,8 +17,8 @@ class WordFormatError(ValueError):
 
 
 def parse_word(text: str) -> str:
-    """Validate word text (ASCII 0/1, optional single trailing newline)."""
-    word = text[:-1] if text.endswith("\n") else text
+    """Validate word text (ASCII 0/1, optional single trailing LF or CRLF)."""
+    word = text[:-2] if text.endswith("\r\n") else text.removesuffix("\n")
     if word.strip("01"):
         bad = word.strip("01")[0]
         raise WordFormatError(f"invalid character {bad!r} in word {word!r}")
@@ -184,7 +184,8 @@ def is_extension_critical(w: str) -> bool:
     w1 is prefix normal iff every proper suffix u of w (the empty suffix
     included) has fewer 1s than the prefix of length |u| + 1.
     """
-    assert is_prefix_normal(w), "is_extension_critical requires a prefix normal word"
+    if not is_prefix_normal(w):
+        raise ValueError(f"is_extension_critical requires a prefix normal word, got {w!r}")
     n = len(w)
     if n == 0:
         return False

@@ -8,16 +8,22 @@ the s-th and (s+j)-th symbols keeps the word prefix normal unless either
 the window starting at the moved 1 collects s or more 1s, or the suffix
 beyond the old critical prefix already has a window of length s+j-1 with
 s or more 1s.  The latter maxima are kept in an array ``f`` that is
-updated in O(s+i) time per tree edge and restored from a stack snapshot
+updated in O(s+i) time per tree edge and restored from a saved slice
 on the way back up, so the work per generated word is proportional to
 its critical prefix length.
+
+The walk is one iterative loop over an explicit stack, so weight classes
+of any depth work, with the swap, membership test and f upkeep written
+inline.  ``OracleState``'s methods are the same steps one call each: the
+slow twin that ``validate=True`` checks every inlined answer against.
 
 The word buffer carries n trailing zeros so window reads never need a
 bounds check.
 """
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
+from operator import add
 
 from . import bubble, core
 from .bubble import word_str
@@ -133,89 +139,101 @@ def _gen_weight(st: OracleState, d: int, visit, order: str, validate: bool):
 
     order: "coolex" (post-order), "visit-first" (pre-order, children left
     to right) or "reverse" (pre-order, children right to left, which
-    yields exactly the reversed cool-lex listing).
+    yields exactly the reversed cool-lex listing).  Returns the counters
+    in ``GenerationStats`` field order.
+
+    One loop over a stack of frames (s, t, i, j, saved): parent node
+    1^s 0^t gamma, current child i, the parent's bound j, and the f
+    segment the child's update overwrote.  It inlines the OracleState
+    methods; with validate, each node checks its answers against them.
     """
     pre = order != "coolex"
-    reverse = order == "reverse"
-    word = st.word
-    count = 0
-    cr_sum = 0
+    step = -1 if order == "reverse" else 1
+    buf, f, word = st.buf, st.f, st.word
+    count = cr_sum = calls = reads = swaps = 0
+    stack = []
+    entered = []  # validate only: (buf, f) before each child's swap
     naive = bubble.naive_oracle(core.is_prefix_normal) if validate else None
 
-    def checked_oracle(s, t):
-        j = 0
-        while j < t:
-            got = st.member_pn(s, j + 1)
-            child = bytearray(word)
-            child[s - 1], child[s + j] = child[s + j], child[s - 1]
-            want = core.is_prefix_normal(word_str(child))
-            if got != want:
-                raise GenerationInvariantError(
-                    f"member_pn({s},{j + 1}) = {got} at {word_str(word)}, "
-                    f"quadratic test says {want}")
-            if not got:
-                break
-            j += 1
-        j_naive = naive(s, t, word)
-        if j != j_naive:
-            raise GenerationInvariantError(
-                f"oracle bound {j} != naive bound {j_naive} at {word_str(word)}")
-        return j
-
-    def check_f_state(s, t):
+    def check_node(s, t, j):
         # f[1..s+t] must equal the brute-force window maxima of the suffix
         # past the critical prefix, zero-padded to length n.
-        suffix = word_str(st._mv[s + t + 1:s + t + 1 + st.n])
-        brute = core.max_ones(suffix)
-        for i in range(1, s + t + 1):
-            if st.f[i] != brute[i]:
-                raise GenerationInvariantError(
-                    f"f[{i}] = {st.f[i]} != {brute[i]} at {word_str(word)}")
+        brute = core.max_ones(word_str(st._mv[s + t + 1:s + t + 1 + st.n]))[1:s + t + 1]
+        if list(f[1:s + t + 1]) != brute:
+            raise GenerationInvariantError(
+                f"f[1..{s + t}] = {list(f[1:s + t + 1])} != {brute} at {word_str(word)}")
+        # The inlined test said yes to children 1..j and no to child j+1, so
+        # equal bounds mean equal answers child by child: member_pn's, and
+        # the quadratic test's that the naive oracle asks.
+        bounds = (st.oracle_pn(s, t), naive(s, t, word)) if s and t else (0, 0)
+        if bounds != (j, j):
+            raise GenerationInvariantError(
+                f"bound {j} != (oracle_pn, naive) bounds {bounds} at {word_str(word)}")
 
-    def gen(s, t):
-        nonlocal count, cr_sum
-        if validate:
-            check_f_state(s, t)
+    s, t = d, st.n - d
+    while True:  # buf and f hold the node 1^s 0^t gamma, just entered
         if pre:
             count += 1
             cr_sum += s + t
             if visit is not None:
                 visit(word)
-        if s > 0 and t > 0:
-            j = checked_oracle(s, t) if validate else st.oracle_pn(s, t)
-            entry_buf = bytes(st.buf) if validate else None
-            entry_f = bytes(st.f) if validate else None
-            for i in (range(j, 0, -1) if reverse else range(1, j + 1)):
+        # bubble upper bound j: child i (swap s, s+i) stays prefix normal
+        # unless its window s+i..2(s+i-1) or f[s+i-1] reaches s ones
+        j = 0
+        if s and t:
+            while j < t:
+                x = s + j + 1
+                calls += 1
+                reads += x - 2
+                if buf.count(1, x + 1, 2 * x - 1) + 1 >= s or f[x - 1] >= s:
+                    break
+                j += 1
+        if validate:
+            check_node(s, t, j)
+        i = j + 1 if step < 0 else 0
+        while True:
+            i += step
+            if 0 < i <= j:  # descend into child i
                 x = s + i
-                st.swap(s, x)
-                saved = st.snapshot(x)
-                st.update_f(x)
-                gen(s - 1, i)
-                st.restore(x, saved)
-                st.swap(s, x)
-                if validate and (bytes(st.buf) != entry_buf or bytes(st.f) != entry_f):
-                    raise GenerationInvariantError(
-                        f"state not restored after child {i} of {word_str(word)}")
-        if not pre:
-            count += 1
-            cr_sum += s + t
-            if visit is not None:
-                visit(word)
-
-    gen(d, st.n - d)
-    return count, cr_sum
+                if validate:
+                    entered.append((bytes(buf), f[:]))
+                buf[s] = 0
+                buf[x] = 1
+                saved = f[1:x + 2]
+                ones = 0
+                fi = 1
+                for b in buf[x:2 * x + 1]:  # update_f(x)
+                    ones += b
+                    if f[fi] < ones:
+                        f[fi] = ones
+                    fi += 1
+                reads += x + 1
+                swaps += 2
+                stack.append((s, t, i, j, saved))
+                s, t = s - 1, i
+                break
+            if not pre:
+                count += 1
+                cr_sum += s + t
+                if visit is not None:
+                    visit(word)
+            if not stack:
+                return count, cr_sum, calls, reads, swaps
+            s, t, i, j, saved = stack.pop()  # back up to the parent
+            x = s + i
+            f[1:x + 2] = saved
+            buf[s] = 1
+            buf[x] = 0
+            if validate and (bytes(buf), f[:]) != entered.pop():
+                raise GenerationInvariantError(
+                    f"state not restored after child {i} of {word_str(word)}")
 
 
 def _run_weights(n, weight_orders, visit, validate):
     stats = GenerationStats()
     for d, order in weight_orders:
-        st = OracleState(n, d)
-        count, cr_sum = _gen_weight(st, d, visit, order, validate)
-        stats.count += count
-        stats.cr_sum += cr_sum
-        stats.membership_calls += st.membership_calls
-        stats.symbol_reads += st.symbol_reads
-        stats.swaps += st.swaps
+        counters = _gen_weight(OracleState(n, d), d, visit, order, validate)
+        stats = GenerationStats(*map(add, astuple(stats), counters))
     return stats
 
 

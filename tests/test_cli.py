@@ -36,6 +36,21 @@ class TestCliSubprocess:
         code, out, _ = run_cli("verify-gray", "--stdin", "--cyclic", stdin=listing)
         assert code == 0 and "violations=0" in out
 
+    def test_verify_gray_accepts_crlf(self):
+        listing = "0000\n1000\n1100\n"
+        lf = run_cli("verify-gray", "--stdin", stdin=listing)
+        crlf = run_cli("verify-gray", "--stdin", stdin=listing.replace("\n", "\r\n"))
+        assert crlf == lf
+        assert lf[:2] == (0, "words=3 pairs=2 violations=0\n")
+
+    def test_verify_gray_blank_line_names_line(self):
+        code, _, err = run_cli("verify-gray", "--stdin", stdin="1000\n\n1100\n")
+        assert code == 2 and "line 2: blank line" in err
+
+    def test_verify_gray_length_mismatch_names_line(self):
+        code, _, err = run_cli("verify-gray", "--stdin", stdin="1000\n1100\n110\n")
+        assert code == 2 and "line 3: words must have equal length" in err
+
     def test_verify_gray_failure_exits_1(self):
         code, out, _ = run_cli("verify-gray", "--stdin", stdin="0000\n1111\n")
         assert code == 1
@@ -72,6 +87,11 @@ class TestCliInProcess:
         assert cli.run(["generate", "--n", "7", "--weight", "4", "--out", str(target)]) == 0
         expected = [w for w in LENGTH7_COOLEX_LISTING if w.count("1") == 4]
         assert target.read_text().split() == expected
+
+    def test_generate_deep_weight_class(self, capsys):
+        # a path 1199 tree levels deep, past the default recursion limit
+        assert cli.run(["generate", "--n", "2400", "--weight", "2399"]) == 0
+        assert len(capsys.readouterr().out.split()) == 1200
 
     def test_generate_simple_algo_same_set(self, capsys):
         assert cli.run(["generate", "--n", "6", "--algo", "simple"]) == 0

@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -21,9 +23,10 @@ class TestParseWord:
     def test_plain_and_newline_terminated(self):
         assert core.parse_word("10110") == "10110"
         assert core.parse_word("10110\n") == "10110"
+        assert core.parse_word("10110\r\n") == "10110"
         assert core.parse_word("") == ""
 
-    @pytest.mark.parametrize("bad", ["10x01", "2", "1 0", "10\n1", "\n10"])
+    @pytest.mark.parametrize("bad", ["10x01", "2", "1 0", "10\n1", "\n10", "10\r", "10\n\n"])
     def test_rejects_other_characters(self, bad):
         with pytest.raises(core.WordFormatError):
             core.parse_word(bad)
@@ -186,6 +189,17 @@ class TestExtensionCritical:
             if core.is_prefix_normal(w):
                 assert core.is_extension_critical(w) == (
                     not core.is_prefix_normal(w + "1")), w
+
+    def test_rejects_word_that_is_not_prefix_normal(self):
+        with pytest.raises(ValueError, match="prefix normal"):
+            core.is_extension_critical("0111")
+
+    def test_rejects_under_optimize_flag(self):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c",
+             "from pnwords import core; core.is_extension_critical('0111')"],
+            capture_output=True, text=True)
+        assert proc.returncode == 1 and "ValueError" in proc.stderr
 
 
 class TestPrefixClosure:

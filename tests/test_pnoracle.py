@@ -8,6 +8,38 @@ from pnwords import bubble, core, pnoracle
 from conftest import PNW_COUNTS, all_words
 
 
+# (count, cr_sum, membership_calls, symbol_reads, swaps) of generate_all_pn(n),
+# recorded from the recursive walker; every order gives the same counters.
+COUNTERS = {
+    0: (1, 0, 0, 0, 0),
+    1: (2, 2, 0, 0, 0),
+    2: (3, 6, 1, 0, 0),
+    3: (5, 14, 3, 5, 2),
+    4: (8, 28, 7, 20, 6),
+    5: (14, 55, 16, 62, 16),
+    6: (23, 100, 30, 142, 32),
+    7: (41, 187, 59, 319, 66),
+    8: (70, 334, 106, 635, 122),
+    9: (125, 613, 196, 1266, 230),
+    10: (218, 1096, 347, 2383, 414),
+    11: (395, 2018, 635, 4561, 766),
+    12: (697, 3625, 1121, 8388, 1368),
+    13: (1273, 6708, 2046, 15792, 2518),
+    14: (2279, 12177, 3642, 28948, 4528),
+    15: (4185, 22631, 6660, 54205, 8338),
+    16: (7568, 41440, 11952, 99581, 15102),
+    17: (13997, 77501, 21982, 186746, 27958),
+    18: (25500, 142853, 39743, 344411, 50962),
+    19: (47414, 268451, 73470, 647603, 94788),
+    20: (87024, 498170, 133879, 1200845, 174006),
+    22: (299947, 1752690, 455941, 4218426, 599848),
+}
+
+
+def counters(stats):
+    return (stats.count, stats.cr_sum, stats.membership_calls, stats.symbol_reads, stats.swaps)
+
+
 def weight_blocks(words):
     """Split a listing into (weight, [words]) runs."""
     return [(d, list(g)) for d, g in groupby(words, key=lambda w: w.count("1"))]
@@ -83,9 +115,10 @@ class TestGenerateAll:
     def test_validated_run_matches_plain_run(self, n):
         plain = bubble.Collector()
         checked = bubble.Collector()
-        pnoracle.generate_all_pn(n, plain)
-        pnoracle.generate_all_pn(n, checked, validate=True)  # raises on any oracle drift
+        plain_stats = pnoracle.generate_all_pn(n, plain)
+        checked_stats = pnoracle.generate_all_pn(n, checked, validate=True)  # raises on drift
         assert plain.words == checked.words
+        assert checked_stats == plain_stats
 
     @pytest.mark.parametrize("n", (15, 16))
     def test_validated_larger_lengths(self, n):
@@ -129,6 +162,19 @@ class TestSingleWeight:
         with pytest.raises(ValueError):
             pnoracle.gen_bubble_pn(4, 5)
 
+    @pytest.mark.parametrize("order", ("coolex", "visit-first"))
+    def test_deep_weight_class(self, order):
+        # members are 1^k 0 1^(2399-k) for k >= 1200, each the only child of
+        # k+1: a path 1199 levels deep, past the default recursion limit
+        sink = bubble.Collector()
+        stats = pnoracle.gen_bubble_pn(2400, 2399, sink, order=order)
+        assert stats.count == len(sink.words) == 1200
+        assert sorted(sink.words) == ["1" * k + "0" + "1" * (2399 - k) for k in range(1200, 2400)]
+        assert sink.words[-1 if order == "coolex" else 0] == "1" * 2399 + "0"
+
+    def test_validated_deep_weight_class(self):
+        assert pnoracle.gen_bubble_pn(300, 299, validate=True).count == 150
+
 
 class TestCyclic:
     @pytest.mark.parametrize("n", range(1, 13))
@@ -152,7 +198,8 @@ class TestCyclic:
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_validated(self, n):
-        pnoracle.generate_all_pn_cyclic(n, validate=True)
+        checked = pnoracle.generate_all_pn_cyclic(n, validate=True)
+        assert counters(checked) == COUNTERS[n]
 
 
 class TestSimpleGenerator:
@@ -196,6 +243,13 @@ class TestStatsAndInstrumentation:
         # a small constant multiple of the summed critical prefix lengths
         stats = pnoracle.generate_all_pn(n)
         assert 0.5 * stats.cr_sum <= stats.symbol_reads <= 6 * stats.cr_sum
+
+    @pytest.mark.parametrize("n", sorted(COUNTERS))
+    def test_counters_match_recorded_table(self, n):
+        assert counters(pnoracle.generate_all_pn(n)) == COUNTERS[n]
+        if n <= 20:
+            assert counters(pnoracle.generate_all_pn(n, order="visit-first")) == COUNTERS[n]
+            assert counters(pnoracle.generate_all_pn_cyclic(n)) == COUNTERS[n]
 
     def test_counters_accumulate(self):
         stats = pnoracle.generate_all_pn(8)
