@@ -225,7 +225,7 @@ def critical_prefix_of_pnf(w: str) -> int:
     n = len(w)
     if n == 0:
         raise ValueError("empty word has no critical prefix")
-    ones = [i for i, c in enumerate(w) if c == "1"]
+    ones = core.positions(w)
     longest = run = 0
     for c in w:
         run = run + 1 if c == "1" else 0
@@ -233,9 +233,7 @@ def critical_prefix_of_pnf(w: str) -> int:
             longest = run
     if len(ones) == longest:  # covers the all-zero word as well
         return n
-    span = min(ones[k + longest] - ones[k] + 1
-               for k in range(len(ones) - longest))
-    return span - 1
+    return core.shortest_window(ones, longest + 1) - 1
 
 
 def pnf_cr_sample(n: int, samples: int, seed: int) -> CrStats:

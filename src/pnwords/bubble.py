@@ -41,35 +41,7 @@ def recursive_swap_all(n: int, d: int, visit=None, *, order: str = "coolex") -> 
     ``coolex`` visits a node after its children (post-order, cool-lex
     order); ``visit-first`` visits it before.  Returns the visit count.
     """
-    if not 0 <= d <= n:
-        raise ValueError(f"need 0 <= d <= n, got d={d}, n={n}")
-    if order not in _ORDERS:
-        raise ValueError(f"order must be one of {_ORDERS}")
-    pre = order == "visit-first"
-    buf = bytearray(n + 1)  # 1-based like the word positions
-    for i in range(1, d + 1):
-        buf[i] = 1
-    word = memoryview(buf).toreadonly()[1:]
-    count = 0
-
-    def gen(s, t):
-        nonlocal count
-        if pre:
-            count += 1
-            if visit is not None:
-                visit(word)
-        if s > 0 and t > 0:
-            for i in range(1, t + 1):
-                buf[s], buf[s + i] = buf[s + i], buf[s]
-                gen(s - 1, i)
-                buf[s], buf[s + i] = buf[s + i], buf[s]
-        if not pre:
-            count += 1
-            if visit is not None:
-                visit(word)
-
-    gen(d, n - d)
-    return count
+    return gen_bubble(lambda s, t, word: t, n, d, visit, order=order)
 
 
 def gen_bubble(oracle, n: int, d: int, visit=None, *, order: str = "coolex") -> int:
@@ -78,39 +50,49 @@ def gen_bubble(oracle, n: int, d: int, visit=None, *, order: str = "coolex") -> 
     ``oracle(s, t, word)`` must return the bubble upper bound j for the
     current node 1^s 0^t gamma: children 1..j are members, j+1..t are
     not.  The root 1^d 0^(n-d) must itself belong to the language.
+
+    One loop over a stack of frames (s, t, i, j): parent node, current
+    child i and the parent's bound j, so the depth is unlimited.
     """
     if not 0 <= d <= n:
         raise ValueError(f"need 0 <= d <= n, got d={d}, n={n}")
     if order not in _ORDERS:
         raise ValueError(f"order must be one of {_ORDERS}")
     pre = order == "visit-first"
-    buf = bytearray(n + 1)
-    for i in range(1, d + 1):
-        buf[i] = 1
+    buf = bytearray(n + 1)  # 1-based like the word positions
+    buf[1:d + 1] = b"\x01" * d
     word = memoryview(buf).toreadonly()[1:]
     count = 0
-
-    def gen(s, t):
-        nonlocal count
+    stack = []
+    s, t = d, n - d
+    while True:  # buf holds the node 1^s 0^t gamma, just entered
         if pre:
             count += 1
             if visit is not None:
                 visit(word)
-        if s > 0 and t > 0:
+        j = 0
+        if s and t:
             j = oracle(s, t, word)
             if not 0 <= j <= t:
                 raise ValueError(f"oracle returned {j} outside 0..{t}")
-            for i in range(1, j + 1):
-                buf[s], buf[s + i] = buf[s + i], buf[s]
-                gen(s - 1, i)
-                buf[s], buf[s + i] = buf[s + i], buf[s]
-        if not pre:
-            count += 1
-            if visit is not None:
-                visit(word)
-
-    gen(d, n - d)
-    return count
+        i = 0
+        while True:
+            i += 1
+            if i <= j:  # descend into child i
+                buf[s] = 0
+                buf[s + i] = 1
+                stack.append((s, t, i, j))
+                s, t = s - 1, i
+                break
+            if not pre:
+                count += 1
+                if visit is not None:
+                    visit(word)
+            if not stack:
+                return count
+            s, t, i, j = stack.pop()  # back up to the parent
+            buf[s] = 1
+            buf[s + i] = 0
 
 
 def naive_oracle(member):

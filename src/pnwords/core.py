@@ -10,6 +10,8 @@ length (index 0 holds the empty-prefix value 0).
 """
 
 from dataclasses import dataclass
+from itertools import pairwise
+from operator import sub
 
 
 class WordFormatError(ValueError):
@@ -49,46 +51,51 @@ def prefix_weights(w: str) -> list[int]:
     return p
 
 
-def max_ones(w: str) -> list[int]:
-    """f[i] = maximum number of 1s over all length-i substrings of w.
+def positions(w: str, c: str = "1") -> list[int]:
+    """Sorted 0-based positions of the character c in w."""
+    return [i for i, x in enumerate(w) if x == c]
 
-    Quadratic scan over all window offsets via the prefix-weight table.
-    """
-    n = len(w)
-    p = prefix_weights(w)
-    f = [0] * (n + 1)
-    for i in range(1, n + 1):
-        f[i] = max(p[j + i] - p[j] for j in range(n - i + 1))
+
+def shortest_window(pos: list[int], j: int) -> int:
+    """Length of the shortest window holding j of the marks at the sorted
+    positions pos, for 1 <= j <= len(pos); one C-level pass over pos."""
+    return min(map(sub, pos[j - 1:], pos)) + 1
+
+
+def _max_marks(n: int, pos: list[int]) -> list[int]:
+    """f[k] = most marks in a length-k window of a length-n word with
+    marks at the sorted positions pos.  f steps up by one exactly at each
+    shortest window, so the whole table costs about len(pos)**2 / 2
+    C-level steps."""
+    bounds = [0, *(shortest_window(pos, j) for j in range(1, len(pos) + 1)), n + 1]
+    f = []
+    for j, (lo, hi) in enumerate(pairwise(bounds)):
+        f += [j] * (hi - lo)
     return f
+
+
+def max_ones(w: str) -> list[int]:
+    """f[i] = maximum number of 1s over all length-i substrings of w."""
+    return _max_marks(len(w), positions(w))
 
 
 def min_ones(w: str) -> list[int]:
     """g[i] = minimum number of 1s over all length-i substrings of w."""
-    n = len(w)
-    fc = max_ones(complement(w))
-    return [i - fc[i] for i in range(n + 1)]
+    return list(map(sub, range(len(w) + 1), _max_marks(len(w), positions(w, "0"))))
 
 
 def pnf(w: str) -> str:
     """Prefix normal form: the unique prefix normal word with the same
     max-ones table as w (first differences of ``max_ones(w)``)."""
     f = max_ones(w)
-    return "".join("1" if f[i] > f[i - 1] else "0" for i in range(1, len(w) + 1))
+    return "".join(map("01".__getitem__, map(sub, f[1:], f)))
 
 
 def is_prefix_normal(w: str) -> bool:
-    """Quadratic membership test with early exit on the first substring
-    that beats the prefix of its length."""
-    n = len(w)
-    p = prefix_weights(w)
-    bits = [1 if c == "1" else 0 for c in w]
-    for i in range(1, n):  # substrings starting at offset i (prefixes are never violations)
-        f = 0
-        for j in range(i, n):
-            f += bits[j]
-            if f > p[j - i + 1]:
-                return False
-    return True
+    """Membership test: for every j, the prefix up to the j-th 1 must be a
+    shortest window holding j ones.  Stops at the first j that fails."""
+    pos = positions(w)
+    return all(shortest_window(pos, j) == pos[j - 1] + 1 for j in range(1, len(pos) + 1))
 
 
 @dataclass(frozen=True)
@@ -171,7 +178,7 @@ def phase1_rejects(w: str, mode: str = "combined") -> bool:
 
 
 def member_two_phase(w: str) -> bool:
-    """Two-phase membership test: block rejection first, quadratic scan
+    """Two-phase membership test: block rejection first, the full test
     for the survivors.  Always agrees with ``is_prefix_normal``."""
     if phase1_rejects(w, "combined"):
         return False

@@ -156,15 +156,15 @@ def _gen_weight(st: OracleState, d: int, visit, order: str, validate: bool):
     naive = bubble.naive_oracle(core.is_prefix_normal) if validate else None
 
     def check_node(s, t, j):
-        # f[1..s+t] must equal the brute-force window maxima of the suffix
-        # past the critical prefix, zero-padded to length n.
+        # f[1..s+t] must equal the window maxima (core.max_ones) of the
+        # suffix past the critical prefix, zero-padded to length n.
         brute = core.max_ones(word_str(st._mv[s + t + 1:s + t + 1 + st.n]))[1:s + t + 1]
         if list(f[1:s + t + 1]) != brute:
             raise GenerationInvariantError(
                 f"f[1..{s + t}] = {list(f[1:s + t + 1])} != {brute} at {word_str(word)}")
         # The inlined test said yes to children 1..j and no to child j+1, so
         # equal bounds mean equal answers child by child: member_pn's, and
-        # the quadratic test's that the naive oracle asks.
+        # is_prefix_normal's, which the naive oracle asks.
         bounds = (st.oracle_pn(s, t), naive(s, t, word)) if s and t else (0, 0)
         if bounds != (j, j):
             raise GenerationInvariantError(
@@ -303,25 +303,25 @@ def simple_generate_pn(n: int, visit=None) -> GenerationStats:
                 return True
         return False
 
-    def rec(k):
-        if k == n:
-            stats.count += 1
-            if n:
-                stats.cr_sum += core.critical_prefix(word_str(word)).cr
-            if visit is not None:
-                visit(word)
-            return
-        buf[k] = 0
-        p[k + 1] = p[k]
-        rec(k + 1)
-        if not extension_critical(k):
-            buf[k] = 1
-            p[k + 1] = p[k] + 1
-            rec(k + 1)
+    k = 0  # buf[:k] is the stack of choices, p[:k + 1] its prefix weights
+    while True:
+        while k < n:  # extend by 0s down to a leaf; buf[k:] is all 0
+            p[k + 1] = p[k]
+            k += 1
+        stats.count += 1
+        if n:
+            stats.cr_sum += core.critical_prefix(word_str(word)).cr
+        if visit is not None:
+            visit(word)
+        # back up past each 1 (both branches done) and each 0 that cannot
+        # become a 1, then take the 1-branch of the deepest other 0
+        while k and (buf[k - 1] or extension_critical(k - 1)):
+            k -= 1
             buf[k] = 0
-
-    rec(0)
-    return stats
+        if not k:
+            return stats
+        buf[k - 1] = 1
+        p[k] = p[k - 1] + 1
 
 
 def pn_words(n: int, *, cyclic: bool = False, order: str = "coolex") -> list[str]:

@@ -37,6 +37,15 @@ def brute_max_ones(w):
     return f
 
 
+def brute_min_ones(w):
+    """Window minima by enumerating every substring directly."""
+    n = len(w)
+    g = [0] * (n + 1)
+    for i in range(1, n + 1):
+        g[i] = min(w[j:j + i].count("1") for j in range(n - i + 1))
+    return g
+
+
 def brute_is_prefix_normal(w):
     f = brute_max_ones(w)
     return all(f[i] == w[:i].count("1") for i in range(1, len(w) + 1))

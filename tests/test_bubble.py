@@ -43,6 +43,13 @@ class TestRecursiveSwapAll:
         bubble.recursive_swap_all(7, 4, post)
         assert sorted(seen.words) == sorted(post.words)
 
+    @pytest.mark.parametrize("order", ("coolex", "visit-first"))
+    def test_deep_weight_class(self, order):
+        # the root 1^1099 0 has a chain of only children 1099 levels deep
+        seen = bubble.Collector()
+        assert bubble.recursive_swap_all(1100, 1099, seen, order=order) == 1100
+        assert sorted(seen.words) == sorted("1" * k + "0" + "1" * (1099 - k) for k in range(1100))
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             bubble.recursive_swap_all(3, 4)
@@ -70,6 +77,13 @@ class TestGenBubble:
         seen = bubble.Collector()
         bubble.gen_bubble(bubble.naive_oracle(core.is_prefix_normal), 5, 2, seen)
         assert seen.words == ["10100", "10010", "10001", "11000"]
+
+    @pytest.mark.parametrize("order", ("coolex", "visit-first"))
+    def test_deep_weight_class(self, order):
+        seen = bubble.Collector()
+        assert bubble.gen_bubble(lambda s, t, w: t, 1100, 1099, seen, order=order) == 1100
+        assert seen.words[-1 if order == "coolex" else 0] == "1" * 1099 + "0"
+        assert len(set(seen.words)) == 1100
 
     def test_oracle_out_of_range_raises(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import io
 import subprocess
 import sys
 
@@ -13,6 +14,19 @@ def run_cli(*args, stdin=None):
         [sys.executable, "-m", "pnwords", *args],
         input=stdin, capture_output=True, text=True)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+class ClosingPipe(io.StringIO):
+    """stdout whose reader goes away after ``limit`` characters."""
+
+    def __init__(self, limit):
+        super().__init__()
+        self.limit = limit
+
+    def write(self, text):
+        if self.tell() + len(text) > self.limit:
+            raise BrokenPipeError
+        return super().write(text)
 
 
 class TestCliSubprocess:
@@ -92,6 +106,14 @@ class TestCliInProcess:
         # a path 1199 tree levels deep, past the default recursion limit
         assert cli.run(["generate", "--n", "2400", "--weight", "2399"]) == 0
         assert len(capsys.readouterr().out.split()) == 1200
+
+    def test_generate_simple_long_words_until_pipe_closes(self, monkeypatch, capsys):
+        # 1200 levels of prefix extension; the reader leaves after 20 words
+        out = ClosingPipe(20 * 1201)
+        monkeypatch.setattr(sys, "stdout", out)
+        assert cli.run(["generate", "--n", "1200", "--algo", "simple"]) == 0
+        assert out.getvalue().split()[:2] == ["0" * 1200, "1" + "0" * 1199]
+        assert capsys.readouterr().err == ""
 
     def test_generate_simple_algo_same_set(self, capsys):
         assert cli.run(["generate", "--n", "6", "--algo", "simple"]) == 0

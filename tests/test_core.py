@@ -12,11 +12,13 @@ from conftest import (
     all_words,
     brute_is_prefix_normal,
     brute_max_ones,
+    brute_min_ones,
     brute_substring_parikh,
 )
 
 words_st = st.text(alphabet="01", max_size=16)
 nonempty_words_st = st.text(alphabet="01", min_size=1, max_size=16)
+long_words_st = st.text(alphabet="01", max_size=300)
 
 
 class TestParseWord:
@@ -91,10 +93,44 @@ class TestIsPrefixNormal:
         assert core.is_prefix_normal("11010") is True
         assert core.is_prefix_normal("") is True
 
-    @pytest.mark.parametrize("n", range(0, 11))
+    @pytest.mark.parametrize("n", range(0, 13))
     def test_exhaustive_vs_brute_force(self, n):
         for w in all_words(n):
             assert core.is_prefix_normal(w) == brute_is_prefix_normal(w), w
+
+
+class TestTablesAgainstBruteForce:
+    """max_ones, min_ones and pnf against the substring-enumerating twins;
+    pnf(w) is checked as the word whose prefix weights are max_ones(w)."""
+
+    @pytest.mark.parametrize("n", range(0, 13))
+    def test_exhaustive(self, n):
+        for w in all_words(n):
+            f = brute_max_ones(w)
+            assert core.max_ones(w) == f, w
+            assert core.min_ones(w) == brute_min_ones(w), w
+            assert core.prefix_weights(core.pnf(w)) == f, w
+
+    @pytest.mark.parametrize("n", [100, 257, 1024])
+    def test_seeded_long_words(self, n):
+        rng = random.Random(n)
+        words = ["0" * n, "1" * n]
+        for first in "10":
+            w = first + format(rng.getrandbits(n - 1), f"0{n - 1}b")
+            words += [w, core.pnf(w)]
+        for w in words:
+            f = brute_max_ones(w)
+            assert core.max_ones(w) == f, w
+            assert core.min_ones(w) == brute_min_ones(w), w
+            assert core.prefix_weights(core.pnf(w)) == f, w
+            assert core.is_prefix_normal(w) == (core.prefix_weights(w) == f), w
+
+    @settings(max_examples=60, deadline=None)
+    @given(long_words_st)
+    def test_long_words_max_ones_and_pnf(self, w):
+        f = brute_max_ones(w)
+        assert core.max_ones(w) == f
+        assert core.prefix_weights(core.pnf(w)) == f
 
 
 class TestRunLengthBlocks:

@@ -222,6 +222,23 @@ class TestSimpleGenerator:
     def test_count_12(self):
         assert pnoracle.simple_generate_pn(12).count == 697
 
+    def test_long_words(self):
+        # one level per position: 1200 levels, past the default recursion limit
+        class Enough(Exception):
+            pass
+
+        seen = []
+
+        def visit(view):
+            seen.append(bubble.word_str(view))
+            if len(seen) == 5:
+                raise Enough
+
+        with pytest.raises(Enough):
+            pnoracle.simple_generate_pn(1200, visit)
+        assert seen == ["0" * 1200, "1" + "0" * 1199, "1" + "0" * 1198 + "1",
+                        "1" + "0" * 1197 + "10", "1" + "0" * 1196 + "100"]
+
 
 class TestStatsAndInstrumentation:
     @pytest.mark.parametrize("n", range(1, 13))
@@ -250,6 +267,7 @@ class TestStatsAndInstrumentation:
         if n <= 20:
             assert counters(pnoracle.generate_all_pn(n, order="visit-first")) == COUNTERS[n]
             assert counters(pnoracle.generate_all_pn_cyclic(n)) == COUNTERS[n]
+            assert counters(pnoracle.simple_generate_pn(n)) == (*COUNTERS[n][:2], 0, 0, 0)
 
     def test_counters_accumulate(self):
         stats = pnoracle.generate_all_pn(8)
