@@ -67,32 +67,41 @@ def gray_close(p: int, q: int) -> bool:
 
 
 class GrayChecker:
-    """Streaming checker; feed words one at a time, then finish()."""
+    """Streaming checker; feed words one at a time, then finish().
+
+    Each word is parsed to an int once.  A pair that differs in at most
+    two positions has p + q <= 2 and is always close, so (p, q) is
+    counted only for the other pairs.
+    """
 
     def __init__(self, cyclic: bool = False):
         self.cyclic = cyclic
         self.report = GrayReport()
         self._first = None
-        self._prev = None
+        self._prev = None  # (word, int value) of the last word fed
         self._index = 0
 
     def feed(self, word: str) -> None:
+        b = int(word, 2) if word else 0
         if self._prev is None:
             self._first = word
         else:
-            self._pair(self._prev, word, self._index - 1)
-        self._prev = word
+            u, a = self._prev
+            if len(u) != len(word):
+                raise ValueError("words must have equal length")
+            self.report.pairs += 1
+            d = a ^ b
+            if d.bit_count() > 2:
+                p, q = (a & d).bit_count(), (b & d).bit_count()
+                if not gray_close(p, q):
+                    self.report.violations.append(
+                        GrayViolation(self._index - 1, u, word, p, q))
+        self._prev = word, b
         self._index += 1
-
-    def _pair(self, u, v, index):
-        p, q = transposition_counts(u, v)
-        self.report.pairs += 1
-        if not gray_close(p, q):
-            self.report.violations.append(GrayViolation(index, u, v, p, q))
 
     def finish(self) -> GrayReport:
         if self.cyclic and self._index > 1:
-            self._pair(self._prev, self._first, self._index - 1)
+            self.feed(self._first)  # the wrap-around pair (last, first)
         return self.report
 
 

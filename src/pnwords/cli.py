@@ -1,9 +1,12 @@
 """Command line front end: generation, membership, prefix normal forms,
 Gray code verification, statistics and benchmarking.
 
-Words stream to stdout one per line.  Exit codes: 0 on success, 2 on
-usage errors (bad words, out-of-range parameters), 1 when a verification
-subcommand finds violations.
+Words stream to stdout one per line, collected as bytes and written in
+batches of about 64 KiB, so ``generate | head`` sees its first line only
+after the first batch.  ``verify-gray --stdin`` reads its listing as bytes
+too.  Exit codes: 0 on success, 2 on usage errors (bad words,
+out-of-range parameters), 1 when a verification subcommand finds
+violations.
 """
 
 import argparse
@@ -12,7 +15,9 @@ import time
 from contextlib import nullcontext
 
 from . import analysis, core, pnoracle
-from .bubble import word_str
+from .bubble import _TO_ASCII, word_str
+
+_BATCH_BYTES = 1 << 16
 
 
 def _positive(text):
@@ -42,11 +47,18 @@ def _cmd_generate(args):
     if args.algo == "simple" and (args.weight is not None or args.order != "coolex"):
         raise ValueError("--algo simple cannot be combined with --weight or --order")
     with _open_out(args) as out:
-        write = out.write
+        acc = bytearray()  # 0/1 bytes and newlines, rendered once per batch
+        extend, append = acc.extend, acc.append
+
+        def flush():
+            out.write(acc.translate(_TO_ASCII).decode("ascii"))
+            acc.clear()
 
         def sink(view):
-            write(word_str(view))
-            write("\n")
+            extend(view)
+            append(10)  # "\n"
+            if len(acc) >= _BATCH_BYTES:
+                flush()
 
         if args.algo == "simple":
             pnoracle.simple_generate_pn(args.n, sink)
@@ -56,6 +68,7 @@ def _cmd_generate(args):
             pnoracle.gen_bubble_pn(args.n, args.weight, sink, order=args.order)
         else:
             pnoracle.generate_all_pn(args.n, sink, order=args.order)
+        flush()
     return 0
 
 
@@ -92,11 +105,15 @@ def _cmd_verify_gray(args):
     checker = analysis.GrayChecker(cyclic=args.cyclic)
     if args.stdin:
         count = 0
-        for count, line in enumerate(sys.stdin, 1):
+        for count, line in enumerate(sys.stdin.buffer, 1):
+            word = line.removesuffix(b"\n")
             try:
-                word = core.parse_word(line)
-                if not word:
-                    raise ValueError("blank line")
+                if word and not word.strip(b"01"):
+                    word = word.decode()
+                else:  # CRLF, blank or invalid; feed's int(word, 2) takes "0b01"
+                    word = core.parse_word(line.decode())
+                    if not word:
+                        raise ValueError("blank line")
                 checker.feed(word)
             except ValueError as exc:
                 raise ValueError(f"line {count}: {exc}") from exc

@@ -309,8 +309,9 @@ def simple_generate_pn(n: int, visit=None) -> GenerationStats:
             p[k + 1] = p[k]
             k += 1
         stats.count += 1
-        if n:
-            stats.cr_sum += core.critical_prefix(word_str(word)).cr
+        z = buf.find(0)  # word = 1^z 0^(r-z) 1..., cr = r
+        r = buf.find(1, z) if z >= 0 else -1
+        stats.cr_sum += r if r >= 0 else n
         if visit is not None:
             visit(word)
         # back up past each 1 (both branches done) and each 0 that cannot

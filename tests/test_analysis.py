@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,19 @@ from hypothesis import strategies as st
 from pnwords import analysis, core, pnoracle
 
 from conftest import LENGTH5_CLASSES, PNW_COUNTS, all_words
+
+
+def _pairwise_report(words, cyclic):
+    """GrayReport from transposition_counts on every pair (the slow twin)."""
+    pairs = list(zip(words, words[1:]))
+    if cyclic and len(words) > 1:
+        pairs.append((words[-1], words[0]))
+    report = analysis.GrayReport(pairs=len(pairs))
+    for index, (u, v) in enumerate(pairs):
+        p, q = analysis.transposition_counts(u, v)
+        if not analysis.gray_close(p, q):
+            report.violations.append(analysis.GrayViolation(index, u, v, p, q))
+    return report
 
 
 class TestGrayCloseness:
@@ -22,6 +36,8 @@ class TestGrayCloseness:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             analysis.transposition_counts("10", "100")
+        with pytest.raises(ValueError, match="words must have equal length"):
+            analysis.verify_gray(["10", "11", "100"])
 
     def test_detects_violations(self):
         report = analysis.verify_gray(["0000", "1111", "1110"])
@@ -35,6 +51,26 @@ class TestGrayCloseness:
         assert ok.ok and ok.pairs == 3
         bad = analysis.verify_gray(["0000", "1100", "1111"], cyclic=True)
         assert not bad.ok  # wrap pair 1111 -> 0000 flips four bits
+
+    @pytest.mark.parametrize("cyclic", [False, True])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_checker_matches_pairwise_counts(self, seed, cyclic):
+        rng = random.Random(seed)
+        n = rng.randrange(13)
+        listings = [["", "", ""]]
+        for _ in range(5):
+            x = rng.getrandbits(n) if n else 0
+            words = [format(x, f"0{n}b") if n else ""]
+            for _ in range(rng.randrange(1, 40)):
+                if n and rng.random() < 0.3:
+                    x = rng.getrandbits(n)  # mostly a violation
+                else:  # up to four flips: close, or a violation at four
+                    for _ in range(rng.randrange(5) if n else 0):
+                        x ^= 1 << rng.randrange(n)
+                words.append(format(x, f"0{n}b") if n else "")
+            listings.append(words)
+        for words in listings:
+            assert analysis.verify_gray(words, cyclic=cyclic) == _pairwise_report(words, cyclic)
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_generator_listings_are_gray(self, n):

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from pnwords import cli
+from pnwords import bubble, cli, pnoracle
 
 from conftest import LENGTH7_COOLEX_LISTING
 
@@ -69,6 +69,25 @@ class TestCliSubprocess:
         code, out, _ = run_cli("verify-gray", "--stdin", stdin="0000\n1111\n")
         assert code == 1
         assert "violations=1" in out and "violation index=0" in out
+        assert "word=0000 next=1111" in out
+
+    @pytest.mark.parametrize("line", ["0b01", "1_0", " 101", "+101", "10 ", "10\r\r"])
+    def test_verify_gray_rejects_what_int_accepts(self, line):
+        code, _, err = run_cli("verify-gray", "--stdin", stdin=f"0000\n{line}\n")
+        assert code == 2 and "line 2: invalid character" in err
+
+    @pytest.mark.parametrize("bad", [b"\xff", "\u00e9".encode()])
+    def test_verify_gray_non_ascii_names_line(self, bad):
+        proc = subprocess.run(
+            [sys.executable, "-m", "pnwords", "verify-gray", "--stdin"],
+            input=b"1000\n1100\n1" + bad + b"0\n", capture_output=True)
+        err = proc.stderr.decode(errors="replace")
+        assert proc.returncode == 2 and "line 3: " in err
+        assert "Traceback" not in err
+
+    def test_verify_gray_last_line_without_newline(self):
+        code, out, _ = run_cli("verify-gray", "--stdin", stdin="0000\n1000\n1100")
+        assert (code, out) == (0, "words=3 pairs=2 violations=0\n")
 
     def test_member(self):
         assert run_cli("member", "10011")[:2] == (0, "false\n")
@@ -108,12 +127,35 @@ class TestCliInProcess:
         assert len(capsys.readouterr().out.split()) == 1200
 
     def test_generate_simple_long_words_until_pipe_closes(self, monkeypatch, capsys):
-        # 1200 levels of prefix extension; the reader leaves after 20 words
-        out = ClosingPipe(20 * 1201)
+        # 1200 levels of prefix extension; the reader leaves after 100
+        # words, which lets the first 64 KiB batch (55 words) through
+        out = ClosingPipe(100 * 1201)
         monkeypatch.setattr(sys, "stdout", out)
         assert cli.run(["generate", "--n", "1200", "--algo", "simple"]) == 0
         assert out.getvalue().split()[:2] == ["0" * 1200, "1" + "0" * 1199]
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("options, listing", [
+        ([], lambda sink: pnoracle.generate_all_pn(16, sink)),
+        (["--cyclic"], lambda sink: pnoracle.generate_all_pn_cyclic(16, sink)),
+        (["--weight", "8"], lambda sink: pnoracle.gen_bubble_pn(16, 8, sink)),
+        (["--order", "visit-first"],
+         lambda sink: pnoracle.generate_all_pn(16, sink, order="visit-first")),
+        (["--algo", "simple"], lambda sink: pnoracle.simple_generate_pn(16, sink)),
+    ], ids=["coolex", "cyclic", "weight", "visit-first", "simple"])
+    def test_generate_is_byte_identical_to_listing(self, options, listing, capsys):
+        # n = 16 lists 7,568 words (129 KB), more than one 64 KiB batch
+        sink = bubble.Collector()
+        listing(sink)
+        assert cli.run(["generate", "--n", "16", *options]) == 0
+        assert capsys.readouterr().out == "".join(w + "\n" for w in sink.words)
+
+    def test_generate_out_file_is_byte_identical(self, tmp_path, capsys):
+        target = tmp_path / "words.txt"
+        assert cli.run(["generate", "--n", "16", "--out", str(target)]) == 0
+        expected = "".join(w + "\n" for w in pnoracle.pn_words(16))
+        assert target.read_bytes() == expected.encode()
+        assert capsys.readouterr().out == ""
 
     def test_generate_simple_algo_same_set(self, capsys):
         assert cli.run(["generate", "--n", "6", "--algo", "simple"]) == 0
