@@ -3,23 +3,24 @@
 Includes the Gray-closeness checker, exhaustive critical-prefix sums,
 prefix-normal-form equivalence classes, sampled critical prefixes of
 prefix normal forms, and the rejection-rate table for the two-phase
-membership tester's linear phase.  Exhaustive 2^n scans are vectorized
-with numpy and refuse to run above a configurable cap.
+membership tester's linear phase.  Exhaustive 2^n scans run numpy
+kernels over chunks of 2^16 words held in uint32, on a thread pool of at
+most one thread per core, and refuse to run above a configurable cap.
+numpy and the pool are imported only when a scan runs, so the other
+commands and ``import pnwords`` do not load them.
 """
 
+import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import log2
-
-import numpy as np
 
 from . import core
 from .pnoracle import generate_all_pn
 
 DEFAULT_EXHAUSTIVE_CAP = 20
-_CHUNK = 1 << 20
+_CHUNK = 1 << 16  # words per kernel call: a uint32 temporary is 256 KiB
 
 
 # ---------------------------------------------------------------------------
@@ -140,28 +141,19 @@ class CrStats:
     mean: Fraction
 
 
-_BL16 = None
-
-
-def _bl16():
-    global _BL16
-    if _BL16 is None:
-        table = np.zeros(1 << 16, dtype=np.int64)
-        for k in range(1, 17):
-            table[1 << (k - 1):1 << k] = k
-        _BL16 = table
-    return _BL16
-
-
 def _bit_length(a):
-    # exact bit lengths for int64 values < 2**32
-    table = _bl16()
-    lo = table[a & 0xFFFF]
-    hi = a >> 16
-    return np.where(hi > 0, table[hi] + 16, lo)
+    # exact bit lengths of the uint32 values in a: frexp converts them to
+    # float64 without rounding, and a = m * 2**e with 0.5 <= m < 1 (frexp(0)
+    # gives e = 0); e >= 0, so its int32 bits read as uint32 unchanged
+    import numpy as np
+    return np.frexp(a)[1].view(np.uint32)
 
 
-_SCAN_LIMIT = 30  # the vectorized kernels index a 16-bit lookup table
+# The kernels hold each word in a uint32 register.  For n <= 30 the word,
+# its n-bit mask and every shift count (at most n) fit; a left shift drops
+# the bits carried past bit 31, and ``& mask`` keeps the n low bits, which
+# that drop never reaches.
+_SCAN_LIMIT = 30
 
 
 def _check_cap(n, cap):
@@ -181,19 +173,31 @@ def _chunks(n):
 
 def _map_chunks(kernel, n, jobs):
     spans = list(_chunks(n))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(spans), os.cpu_count() or 1)
+    if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             return sum(pool.map(lambda span: kernel(*span), spans))
     return sum(kernel(lo, hi) for lo, hi in spans)
 
 
-def _cr_sum_chunk(n, lo, hi):
-    x = np.arange(lo, hi, dtype=np.int64)
+def _peel_block(n, y, rem):
+    # Split the leading block 1^s 0^t off words y that are left-aligned in
+    # an n-bit register with rem bits left; return (y, rem, s, t) after it.
+    # A word with no bits left reads as s = t = 0.
+    import numpy as np
     mask = (1 << n) - 1
-    s = n - _bit_length(~x & mask)  # leading 1-run
-    rest = (x << s) & mask
-    t = np.minimum(n - _bit_length(rest), n - s)  # first 0-run (all-ones word: t=0)
-    return int((s + t).sum())
+    s = n - _bit_length(y ^ mask)
+    y = (y << s) & mask
+    rem = rem - s
+    t = np.minimum(n - _bit_length(y), rem)
+    return (y << t) & mask, rem - t, s, t
+
+
+def _cr_sum_chunk(n, lo, hi):
+    import numpy as np
+    _, _, s, t = _peel_block(n, np.arange(lo, hi, dtype=np.uint32), n)
+    return int(s.sum(dtype=np.int64) + t.sum(dtype=np.int64))
 
 
 def critical_prefix_sum(n: int, *, cap: int = DEFAULT_EXHAUSTIVE_CAP,
@@ -304,39 +308,26 @@ def _round3(num: int, den: int) -> str:
 
 
 def _phase1_chunk(n, lo, hi, combined):
-    # Peel run-length blocks of every word in [lo, hi) in lockstep; words
-    # stay left-aligned in an n-bit register so run lengths come from bit
-    # lengths.  Exhausted words degenerate to zero-length runs.
-    x = np.arange(lo, hi, dtype=np.int64)
-    mask = (1 << n) - 1
-    y = x.copy()
-    rem = np.full(x.shape, n, dtype=np.int64)
-    rejected = np.zeros(x.shape, dtype=bool)
-    first = True
-    s1 = t1 = prev_s = prev_t = None
-    while True:
-        live = rem > 0
-        if not live.any():
-            break
-        s = n - _bit_length(~y & mask)
-        y = (y << s) & mask
-        rem = rem - s
-        t = np.minimum(n - _bit_length(y), rem)
-        y = (y << t) & mask
-        rem = rem - t
-        if first:
-            s1, t1 = s, t
-            prev_s, prev_t = s, t
-            first = False
-        else:
-            blk = live & (s > 0)
-            bad = s > s1
-            if combined:
-                bad = bad | ((prev_s + prev_t + s <= s1 + t1) & (prev_s + s > s1))
-            rejected |= blk & bad
-            prev_s = np.where(blk, s, prev_s)
-            prev_t = np.where(blk, t, prev_t)
-    return int(np.count_nonzero(rejected))
+    # Peel the blocks of every word in [lo, hi) in lockstep.  After each
+    # round only the words that have bits left and are not rejected are
+    # kept; each of them resumes with a 1, so every round peels one whole
+    # block of every kept word.  Words used up by their first block enter
+    # one round as s = t = 0, which no test rejects, and are dropped.
+    import numpy as np
+    y, rem, s1, t1 = _peel_block(n, np.arange(lo, hi, dtype=np.uint32), n)
+    cr, prev_s, prev_t = s1 + t1, s1, t1
+    rejected = 0
+    while len(y):
+        y, rem, s, t = _peel_block(n, y, rem)
+        bad = s > s1
+        if combined:
+            bad |= (prev_s + prev_t + s <= cr) & (prev_s + s > s1)
+        rejected += int(np.count_nonzero(bad))
+        keep = (rem > 0) & ~bad
+        y, rem, s1 = y[keep], rem[keep], s1[keep]
+        if combined:
+            cr, prev_s, prev_t = cr[keep], s[keep], t[keep]
+    return rejected
 
 
 def rejection_ratio(n: int, mode: str = "combined", *,

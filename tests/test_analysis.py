@@ -120,6 +120,8 @@ class TestCriticalPrefixSum:
 
     def test_jobs_identical(self):
         assert analysis.critical_prefix_sum(16, jobs=4) == analysis.critical_prefix_sum(16)
+        # four chunks
+        assert analysis.critical_prefix_sum(18, jobs=2) == analysis.critical_prefix_sum(18)
 
     def test_all_words_stats(self):
         stats = analysis.cr_stats_all_words(10)
@@ -220,11 +222,76 @@ class TestRejectionRatio:
             analysis.rejection_ratio(8, "bogus")
 
     def test_jobs_identical(self):
-        a = analysis.rejection_ratio(14, "combined", jobs=3)
-        b = analysis.rejection_ratio(14, "combined")
-        assert (a.rejected, a.ratio) == (b.rejected, b.ratio)
+        for n, jobs in ((14, 3), (18, 2)):  # one chunk, four chunks
+            for mode in ("trivial", "combined"):
+                a = analysis.rejection_ratio(n, mode, jobs=jobs)
+                b = analysis.rejection_ratio(n, mode)
+                assert (a.rejected, a.ratio) == (b.rejected, b.ratio)
 
     def test_odd_lengths_also_decrease_in_combined_mode(self):
         exact = [Fraction(n * analysis.rejection_ratio(n, "combined").passed, 1 << n)
                  for n in (11, 13, 15, 17)]
         assert all(b < a for a, b in zip(exact, exact[1:]))
+
+
+class TestScanKernels:
+    """The chunk kernels across chunk boundaries and at the top of the
+    supported range, against the scalar twins in ``core``."""
+
+    def test_bit_length_is_exact(self):
+        import numpy as np
+
+        values = [0, *(v for k in range(1, 31) for v in (1 << (k - 1), (1 << k) - 1)),
+                  *random.Random(31).sample(range(1 << 30), 1000)]
+        got = analysis._bit_length(np.array(values, dtype=np.uint32))
+        assert got.tolist() == [v.bit_length() for v in values]
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_small_chunks(self, monkeypatch, n):
+        monkeypatch.setattr(analysis, "_CHUNK", 1 << 6)
+        for mode in ("trivial", "combined"):
+            rejected = sum(core.phase1_rejects(w, mode) for w in all_words(n))
+            assert analysis.rejection_ratio(n, mode).rejected == rejected
+        assert analysis.critical_prefix_sum(n) == 3 * 2**n - (n + 3)
+
+    @pytest.mark.parametrize("lo", [0, (1 << 30) - 4096,
+                                    random.Random(30).randrange(0, (1 << 30) - 4096)])
+    def test_top_of_range(self, lo):
+        # words of length 30 shifted left past bit 31 of the uint32 register
+        n, hi = 30, lo + 4096
+        words = [format(x, f"0{n}b") for x in range(lo, hi)]
+        for mode in ("trivial", "combined"):
+            rejected = sum(core.phase1_rejects(w, mode) for w in words)
+            assert analysis._phase1_chunk(n, lo, hi, mode == "combined") == rejected
+        assert analysis._cr_sum_chunk(n, lo, hi) == sum(
+            core.critical_prefix(w).cr for w in words)
+
+    def test_pool_threads_bounded_by_cores(self, monkeypatch):
+        import concurrent.futures
+
+        made = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(analysis.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(analysis, "_CHUNK", 1 << 6)
+        want = analysis.rejection_ratio(12, "combined").rejected
+        assert analysis.rejection_ratio(12, "combined", jobs=10**6).rejected == want
+        assert analysis.critical_prefix_sum(12, jobs=10**6) == 3 * 2**12 - 15
+        assert made == [3, 3]
+        assert analysis.critical_prefix_sum(6, jobs=10**6) == 3 * 2**6 - 9  # one chunk
+        monkeypatch.setattr(analysis.os, "cpu_count", lambda: None)  # unknown: one core
+        assert analysis.critical_prefix_sum(12, jobs=10**6) == 3 * 2**12 - 15
+        assert made == [3, 3]

@@ -34,6 +34,21 @@ class TestCliSubprocess:
         code, out, _ = run_cli("count", "--n", "7")
         assert code == 0 and out.strip() == "41"
 
+    def test_numpy_and_pool_load_only_for_scans(self):
+        script = (
+            "import contextlib, io, sys\n"
+            "import pnwords.cli\n"
+            "def loaded(*argv):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        pnwords.cli.run(list(argv))\n"
+            "    return [m for m in ('numpy', 'concurrent.futures') if m in sys.modules]\n"
+            "print(loaded('count', '--n', '8'), loaded('generate', '--n', '8'),\n"
+            "      loaded('stats', 'ratio', '--n', '8'))\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[] [] ['numpy']\n"
+
     def test_generate_matches_listing(self):
         code, out, _ = run_cli("generate", "--n", "7")
         assert code == 0
