@@ -12,7 +12,6 @@ from .core import (
     BjpmIndex,
     CriticalPrefix,
     WordFormatError,
-    bjpm_query,
     complement,
     critical_prefix,
     is_extension_critical,
@@ -32,14 +31,12 @@ from .bubble import (
     check_tree_closure,
     gen_bubble,
     is_first01_bubble,
-    naive_oracle,
     recursive_swap_all,
     word_str,
 )
 from .pnoracle import (
     GenerationInvariantError,
     GenerationStats,
-    OracleState,
     gen_bubble_pn,
     generate_all_pn,
     generate_all_pn_cyclic,
@@ -52,7 +49,6 @@ from .analysis import (
     GrayReport,
     GrayViolation,
     RatioReport,
-    avg_cr_pn,
     count_pnw,
     cr_stats_all_words,
     cr_stats_pn,

@@ -217,12 +217,6 @@ def cr_stats_all_words(n: int, *, cap: int = DEFAULT_EXHAUSTIVE_CAP,
     return CrStats(n, "all-words", 1 << n, total, Fraction(total, 1 << n))
 
 
-def avg_cr_pn(n: int) -> Fraction:
-    """Mean critical prefix length over the prefix normal words of length
-    n, accumulated while generating (no listing is stored)."""
-    return generate_all_pn(n).avg_cr
-
-
 def cr_stats_pn(n: int) -> CrStats:
     stats = generate_all_pn(n)
     return CrStats(n, "prefix-normal", stats.count, stats.cr_sum, stats.avg_cr)

@@ -6,8 +6,11 @@ thing with the roles of 0 and 1 exchanged; everything here implements
 the first-01 form.)  Its weight-d slice forms a subtree of the
 computation tree of the recursive swap generator rooted at 1^d 0^(n-d):
 the i-th child of a node 1^s 0^t gamma is 1^(s-1) 0^i 1 0^(t-i) gamma.
-Generation walks that tree in place with one global word; an oracle
-callable prunes the child range to the members.
+One walker, ``pnoracle._gen_weight``, traverses that tree in place with
+one global word; ``gen_bubble`` hands it an oracle that prunes the child
+range to the members, and without an oracle the walker runs its own
+prefix normal test.  This module also holds the slow membership-based
+oracle and two closure checkers.
 
 Sinks receive a read-only memoryview of 0/1 byte values that is only
 valid during the visit call (the underlying word mutates afterwards).
@@ -31,9 +34,6 @@ class Collector:
         self.words.append(word_str(view))
 
 
-_ORDERS = ("coolex", "visit-first")
-
-
 def recursive_swap_all(n: int, d: int, visit=None, *, order: str = "coolex") -> int:
     """Visit every length-n weight-d binary word exactly once by swapping
     the last 1 of the leading run with each 0 of the following run.
@@ -50,49 +50,12 @@ def gen_bubble(oracle, n: int, d: int, visit=None, *, order: str = "coolex") -> 
     ``oracle(s, t, word)`` must return the bubble upper bound j for the
     current node 1^s 0^t gamma: children 1..j are members, j+1..t are
     not.  The root 1^d 0^(n-d) must itself belong to the language.
-
-    One loop over a stack of frames (s, t, i, j): parent node, current
-    child i and the parent's bound j, so the depth is unlimited.
+    Returns the visit count.
     """
-    if not 0 <= d <= n:
-        raise ValueError(f"need 0 <= d <= n, got d={d}, n={n}")
-    if order not in _ORDERS:
-        raise ValueError(f"order must be one of {_ORDERS}")
-    pre = order == "visit-first"
-    buf = bytearray(n + 1)  # 1-based like the word positions
-    buf[1:d + 1] = b"\x01" * d
-    word = memoryview(buf).toreadonly()[1:]
-    count = 0
-    stack = []
-    s, t = d, n - d
-    while True:  # buf holds the node 1^s 0^t gamma, just entered
-        if pre:
-            count += 1
-            if visit is not None:
-                visit(word)
-        j = 0
-        if s and t:
-            j = oracle(s, t, word)
-            if not 0 <= j <= t:
-                raise ValueError(f"oracle returned {j} outside 0..{t}")
-        i = 0
-        while True:
-            i += 1
-            if i <= j:  # descend into child i
-                buf[s] = 0
-                buf[s + i] = 1
-                stack.append((s, t, i, j))
-                s, t = s - 1, i
-                break
-            if not pre:
-                count += 1
-                if visit is not None:
-                    visit(word)
-            if not stack:
-                return count
-            s, t, i, j = stack.pop()  # back up to the parent
-            buf[s] = 1
-            buf[s + i] = 0
+    from .pnoracle import OracleState, _check_order, _gen_weight  # pnoracle imports bubble
+
+    _check_order(order)
+    return _gen_weight(OracleState(n, d), d, visit, order, False, oracle)[0]
 
 
 def naive_oracle(member):

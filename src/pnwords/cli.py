@@ -5,8 +5,8 @@ Words stream to stdout one per line, collected as bytes and written in
 batches of about 64 KiB, so ``generate | head`` sees its first line only
 after the first batch.  ``verify-gray --stdin`` reads its listing as bytes
 too.  Exit codes: 0 on success, 2 on usage errors (bad words,
-out-of-range parameters), 1 when a verification subcommand finds
-violations.
+out-of-range parameters, an ``--out`` file that cannot be opened), 1 when
+a verification subcommand finds violations.
 """
 
 import argparse
@@ -36,7 +36,10 @@ def _non_negative(text):
 
 def _open_out(args):
     if getattr(args, "out", None):
-        return open(args.out, "w")
+        try:
+            return open(args.out, "w")
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.out!r}: {exc.strerror}") from exc
     return nullcontext(sys.stdout)
 
 
@@ -197,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="only this weight class")
     p.add_argument("--cyclic", action="store_true",
                    help="cyclic Gray ordering (odd weights up, even weights down)")
-    p.add_argument("--order", choices=("coolex", "visit-first"), default="coolex")
+    p.add_argument("--order", choices=pnoracle._ORDERS, default="coolex")
     p.add_argument("--algo", choices=("bubble", "simple"), default="bubble")
     p.add_argument("--out", default=None, help="write to a file instead of stdout")
     p.set_defaults(func=_cmd_generate)

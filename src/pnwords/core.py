@@ -193,13 +193,16 @@ def is_extension_critical(w: str) -> bool:
     """
     if not is_prefix_normal(w):
         raise ValueError(f"is_extension_critical requires a prefix normal word, got {w!r}")
-    n = len(w)
-    if n == 0:
-        return False
-    p = prefix_weights(w)
-    total = p[n]
-    for length in range(n):
-        if total - p[n - length] >= p[length + 1]:
+    return extension_critical(prefix_weights(w), len(w))
+
+
+def extension_critical(p: list[int], k: int) -> bool:
+    """``is_extension_critical`` for the length-k prefix normal word with
+    prefix weights p[0..k]: the suffix of length l has p[k] - p[k-l]
+    ones, and appending 1 fails once one reaches p[l+1]."""
+    pk = p[k]
+    for length in range(k):
+        if pk - p[k - length] >= p[length + 1]:
             return True
     return False
 
@@ -227,8 +230,3 @@ class BjpmIndex:
         if k > self.length:
             return False
         return self.min_ones[k] <= x <= self.max_ones[k]
-
-
-def bjpm_query(idx: BjpmIndex, x: int, y: int) -> bool:
-    """Does the indexed word have a substring with exactly x 1s and y 0s?"""
-    return idx.query(x, y)

@@ -1,16 +1,18 @@
-"""Cool-lex Gray code generation of prefix normal words with an
-incremental window-maxima oracle.
+"""The cool-lex tree walker, and the prefix normal words it generates.
 
-The generator walks the fixed-weight computation tree (see ``bubble``)
-but prunes children with a membership test specialised to nodes of the
-form 1^s 0^t gamma that are already known to be prefix normal.  Swapping
-the s-th and (s+j)-th symbols keeps the word prefix normal unless either
-the window starting at the moved 1 collects s or more 1s, or the suffix
-beyond the old critical prefix already has a window of length s+j-1 with
-s or more 1s.  The latter maxima are kept in an array ``f`` that is
-updated in O(s+i) time per tree edge and restored from a saved slice
-on the way back up, so the work per generated word is proportional to
-its critical prefix length.
+Every fixed-weight first-01 bubble language is a subtree of the
+computation tree rooted at 1^d 0^(n-d) (see ``bubble``); ``_gen_weight``
+is the one walker over that tree.  At each node 1^s 0^t gamma it needs
+the bubble upper bound j: children 1..j are members, j+1..t are not.
+Given an oracle ``bound(s, t, word)`` it asks that (``bubble.gen_bubble``
+runs this way).  Without one it computes j for prefix normal words
+itself: swapping the s-th and (s+j)-th symbols keeps the word prefix
+normal unless either the window starting at the moved 1 collects s or
+more 1s, or the suffix beyond the old critical prefix already has a
+window of length s+j-1 with s or more 1s.  The latter maxima are kept in
+an array ``f`` that is updated in O(s+i) time per tree edge and restored
+from a saved slice on the way back up, so the work per generated word is
+proportional to its critical prefix length.
 
 The walk is one iterative loop over an explicit stack, so weight classes
 of any depth work, with the swap, membership test and f upkeep written
@@ -131,16 +133,26 @@ class OracleState:
         self.f[1:x + 2] = saved
 
 
-_ORDERS = ("coolex", "visit-first")
+_ORDERS = ("coolex", "visit-first")  # public orders; "reverse" is internal
 
 
-def _gen_weight(st: OracleState, d: int, visit, order: str, validate: bool):
+def _check_order(order: str) -> None:
+    if order not in _ORDERS:
+        raise ValueError(f"order must be one of {_ORDERS}")
+
+
+def _gen_weight(st: OracleState, d: int, visit, order: str, validate: bool,
+                bound=None):
     """Walk one weight class from the root 1^d 0^(n-d) in st.buf.
 
     order: "coolex" (post-order), "visit-first" (pre-order, children left
     to right) or "reverse" (pre-order, children right to left, which
     yields exactly the reversed cool-lex listing).  Returns the counters
     in ``GenerationStats`` field order.
+
+    ``bound(s, t, word)``, when given, replaces the prefix normal test:
+    it must return the bubble upper bound of the node 1^s 0^t gamma, and
+    the f upkeep is skipped.  validate applies to the prefix normal test.
 
     One loop over a stack of frames (s, t, i, j, saved): parent node
     1^s 0^t gamma, current child i, the parent's bound j, and the f
@@ -149,9 +161,11 @@ def _gen_weight(st: OracleState, d: int, visit, order: str, validate: bool):
     """
     pre = order != "coolex"
     step = -1 if order == "reverse" else 1
+    pn = bound is None
     buf, f, word = st.buf, st.f, st.word
     count = cr_sum = calls = reads = swaps = 0
     stack = []
+    saved = None
     entered = []  # validate only: (buf, f) before each child's swap
     naive = bubble.naive_oracle(core.is_prefix_normal) if validate else None
 
@@ -177,17 +191,21 @@ def _gen_weight(st: OracleState, d: int, visit, order: str, validate: bool):
             cr_sum += s + t
             if visit is not None:
                 visit(word)
-        # bubble upper bound j: child i (swap s, s+i) stays prefix normal
-        # unless its window s+i..2(s+i-1) or f[s+i-1] reaches s ones
         j = 0
         if s and t:
-            while j < t:
-                x = s + j + 1
-                calls += 1
-                reads += x - 2
-                if buf.count(1, x + 1, 2 * x - 1) + 1 >= s or f[x - 1] >= s:
-                    break
-                j += 1
+            if pn:  # child i (swap s, s+i) stays prefix normal unless its
+                # window s+i..2(s+i-1) or f[s+i-1] reaches s ones
+                while j < t:
+                    x = s + j + 1
+                    calls += 1
+                    reads += x - 2
+                    if buf.count(1, x + 1, 2 * x - 1) + 1 >= s or f[x - 1] >= s:
+                        break
+                    j += 1
+            else:
+                j = bound(s, t, word)
+                if not 0 <= j <= t:
+                    raise ValueError(f"oracle returned {j} outside 0..{t}")
         if validate:
             check_node(s, t, j)
         i = j + 1 if step < 0 else 0
@@ -199,15 +217,16 @@ def _gen_weight(st: OracleState, d: int, visit, order: str, validate: bool):
                     entered.append((bytes(buf), f[:]))
                 buf[s] = 0
                 buf[x] = 1
-                saved = f[1:x + 2]
-                ones = 0
-                fi = 1
-                for b in buf[x:2 * x + 1]:  # update_f(x)
-                    ones += b
-                    if f[fi] < ones:
-                        f[fi] = ones
-                    fi += 1
-                reads += x + 1
+                if pn:
+                    saved = f[1:x + 2]
+                    ones = 0
+                    fi = 1
+                    for b in buf[x:2 * x + 1]:  # update_f(x)
+                        ones += b
+                        if f[fi] < ones:
+                            f[fi] = ones
+                        fi += 1
+                    reads += x + 1
                 swaps += 2
                 stack.append((s, t, i, j, saved))
                 s, t = s - 1, i
@@ -221,7 +240,8 @@ def _gen_weight(st: OracleState, d: int, visit, order: str, validate: bool):
                 return count, cr_sum, calls, reads, swaps
             s, t, i, j, saved = stack.pop()  # back up to the parent
             x = s + i
-            f[1:x + 2] = saved
+            if pn:
+                f[1:x + 2] = saved
             buf[s] = 1
             buf[x] = 0
             if validate and (bytes(buf), f[:]) != entered.pop():
@@ -240,10 +260,7 @@ def _run_weights(n, weight_orders, visit, validate):
 def gen_bubble_pn(n: int, d: int, visit=None, *, order: str = "coolex",
                   validate: bool = False) -> GenerationStats:
     """Generate the weight-d prefix normal words of length n."""
-    if not 0 <= d <= n:
-        raise ValueError(f"need 0 <= d <= n, got d={d}, n={n}")
-    if order not in _ORDERS:
-        raise ValueError(f"order must be one of {_ORDERS}")
+    _check_order(order)
     return _run_weights(n, [(d, order)], visit, validate)
 
 
@@ -257,8 +274,7 @@ def generate_all_pn(n: int, visit=None, *, order: str = "coolex",
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    if order not in _ORDERS:
-        raise ValueError(f"order must be one of {_ORDERS}")
+    _check_order(order)
     return _run_weights(n, ((d, order) for d in range(n + 1)), visit, validate)
 
 
@@ -294,15 +310,6 @@ def simple_generate_pn(n: int, visit=None) -> GenerationStats:
     p = [0] * (n + 1)
     stats = GenerationStats()
 
-    def extension_critical(k):
-        # suffix of length l has p[k]-p[k-l] ones; appending 1 fails once
-        # some suffix reaches the weight of the (l+1)-prefix
-        pk = p[k]
-        for length in range(k):
-            if pk - p[k - length] >= p[length + 1]:
-                return True
-        return False
-
     k = 0  # buf[:k] is the stack of choices, p[:k + 1] its prefix weights
     while True:
         while k < n:  # extend by 0s down to a leaf; buf[k:] is all 0
@@ -316,7 +323,7 @@ def simple_generate_pn(n: int, visit=None) -> GenerationStats:
             visit(word)
         # back up past each 1 (both branches done) and each 0 that cannot
         # become a 1, then take the 1-branch of the deepest other 0
-        while k and (buf[k - 1] or extension_critical(k - 1)):
+        while k and (buf[k - 1] or core.extension_critical(p, k - 1)):
             k -= 1
             buf[k] = 0
         if not k:

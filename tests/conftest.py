@@ -62,6 +62,32 @@ def brute_substring_parikh(w):
     return pairs
 
 
+def coolex_reference(member, n, d, order="coolex"):
+    """Members of weight d in cool-lex order, by plain recursion over the
+    computation tree on strings: the children of 1^s 0^t gamma are
+    1^(s-1) 0^i 1 0^(t-i) gamma for i = 1..t, kept up to the first
+    non-member.  order: "coolex" (post-order), "visit-first" (pre-order)
+    or "reverse" (pre-order, children right to left)."""
+    out = []
+
+    def walk(s, t, w):
+        children = []
+        for i in range(1, t + 1) if s else ():
+            child = "1" * (s - 1) + "0" * i + "1" + w[s + i:]
+            if not member(child):
+                break
+            children.append((i, child))
+        if order != "coolex":
+            out.append(w)
+        for i, child in reversed(children) if order == "reverse" else children:
+            walk(s - 1, i, child)
+        if order == "coolex":
+            out.append(w)
+
+    walk(d, n - d, "1" * d + "0" * (n - d))
+    return out
+
+
 # Complete cool-lex listing for length 7, weights ascending: the frozen
 # expected output of the Gray code generator.
 LENGTH7_COOLEX_LISTING = """

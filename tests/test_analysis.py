@@ -131,11 +131,11 @@ class TestCriticalPrefixSum:
 
 class TestAvgCrPn:
     def test_small_values(self):
-        assert analysis.avg_cr_pn(5) == Fraction(55, 14)
-        assert analysis.avg_cr_pn(1) == 1
+        assert pnoracle.generate_all_pn(5).avg_cr == Fraction(55, 14)
+        assert pnoracle.generate_all_pn(1).avg_cr == 1
 
     def test_monotone_growth(self):
-        means = [analysis.avg_cr_pn(n) for n in range(8, 17)]
+        means = [pnoracle.generate_all_pn(n).avg_cr for n in range(8, 17)]
         assert all(b > a for a, b in zip(means, means[1:]))
 
     def test_pn_stats(self):

@@ -136,6 +136,16 @@ class TestCliInProcess:
         expected = [w for w in LENGTH7_COOLEX_LISTING if w.count("1") == 4]
         assert target.read_text().split() == expected
 
+    @pytest.mark.parametrize("command", (["generate", "--n", "5"], ["class", "11010"]))
+    @pytest.mark.parametrize("target", ("missing/x.txt", "."))
+    def test_unwritable_out_exits_2(self, command, target, tmp_path, capsys):
+        # a missing directory, and a directory
+        path = tmp_path / target
+        assert cli.run([*command, "--out", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err
+
     def test_generate_deep_weight_class(self, capsys):
         # a path 1199 tree levels deep, past the default recursion limit
         assert cli.run(["generate", "--n", "2400", "--weight", "2399"]) == 0

@@ -250,9 +250,9 @@ class TestPrefixClosure:
 class TestBjpmIndex:
     def test_examples(self):
         idx = core.BjpmIndex.from_word("11010")
-        assert core.bjpm_query(idx, 2, 1) is True
-        assert core.bjpm_query(idx, 1, 3) is False
-        assert core.bjpm_query(idx, 0, 0) is True
+        assert idx.query(2, 1) is True
+        assert idx.query(1, 3) is False
+        assert idx.query(0, 0) is True
 
     def test_out_of_range_is_false(self):
         idx = core.BjpmIndex.from_word("101")

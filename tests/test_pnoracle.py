@@ -5,7 +5,7 @@ import pytest
 
 from pnwords import bubble, core, pnoracle
 
-from conftest import PNW_COUNTS, all_words
+from conftest import PNW_COUNTS, all_words, brute_is_prefix_normal, coolex_reference
 
 
 # (count, cr_sum, membership_calls, symbol_reads, swaps) of generate_all_pn(n),
@@ -200,6 +200,37 @@ class TestCyclic:
     def test_validated(self, n):
         checked = pnoracle.generate_all_pn_cyclic(n, validate=True)
         assert counters(checked) == COUNTERS[n]
+
+
+class TestRecursiveReference:
+    """gen_bubble and gen_bubble_pn share one walker; this checks it
+    against the plain recursion of conftest.coolex_reference."""
+
+    @pytest.mark.parametrize("n", range(0, 11))
+    def test_generic_walker(self, n):
+        naive = bubble.naive_oracle(core.is_prefix_normal)
+        for d in range(n + 1):
+            for oracle, member in ((lambda s, t, w: t, lambda w: True),
+                                   (naive, brute_is_prefix_normal)):
+                sink = bubble.Collector()
+                bubble.gen_bubble(oracle, n, d, sink)
+                assert sink.words == coolex_reference(member, n, d), (n, d)
+
+    @pytest.mark.parametrize("order", ("coolex", "visit-first"))
+    @pytest.mark.parametrize("n", range(0, 11))
+    def test_prefix_normal_walker(self, n, order):
+        for d in range(n + 1):
+            sink = bubble.Collector()
+            pnoracle.gen_bubble_pn(n, d, sink, order=order)
+            assert sink.words == coolex_reference(brute_is_prefix_normal, n, d, order), (n, d)
+
+    @pytest.mark.parametrize("n", range(0, 11))
+    def test_cyclic(self, n):
+        expected = []
+        for d in [*range(1, n + 1, 2), *range(n - n % 2, -1, -2)]:
+            expected += coolex_reference(brute_is_prefix_normal, n, d,
+                                         "reverse" if d % 2 else "coolex")
+        assert pnoracle.pn_words(n, cyclic=True) == expected
 
 
 class TestSimpleGenerator:
