@@ -52,10 +52,10 @@ def gen_bubble(oracle, n: int, d: int, visit=None, *, order: str = "coolex") -> 
     not.  The root 1^d 0^(n-d) must itself belong to the language.
     Returns the visit count.
     """
-    from .pnoracle import OracleState, _check_order, _gen_weight  # pnoracle imports bubble
+    from .pnoracle import _check_order, _gen_weight  # pnoracle imports bubble
 
     _check_order(order)
-    return _gen_weight(OracleState(n, d), d, visit, order, False, oracle)[0]
+    return _gen_weight(n, d, visit, order, False, oracle)[0]
 
 
 def naive_oracle(member):
@@ -86,15 +86,15 @@ def _to_int_set(words, n, d):
     for w in words:
         if len(w) != n or w.count("1") != d:
             raise ValueError(f"word {w!r} is not a length-{n} weight-{d} word")
-        values.add(int(w, 2))
+        values.add(int(w, 2) if w else 0)
     return values
 
 
 def is_first01_bubble(words, n: int, d: int) -> bool:
     """Is the given fixed-weight set closed under first-01 -> 10 swaps?"""
+    values = _to_int_set(words, n, d)
     if n == 0:
         return True
-    values = _to_int_set(words, n, d)
     mask = (1 << n) - 1
     for x in values:
         z = ~x & (x << 1) & mask  # bit j set <=> "01" at word positions (n-j, n-j+1)
@@ -109,9 +109,9 @@ def is_first01_bubble(words, n: int, d: int) -> bool:
 def check_tree_closure(words, n: int, d: int) -> bool:
     """Is the set closed under parent and left sibling in the computation
     tree?  Agrees with ``is_first01_bubble`` on every fixed-weight set."""
+    values = _to_int_set(words, n, d)
     if n == 0:
         return True
-    values = _to_int_set(words, n, d)
     mask = (1 << n) - 1
     root = ((1 << d) - 1) << (n - d)
     for x in values:

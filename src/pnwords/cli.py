@@ -97,8 +97,8 @@ def _cmd_pnf(args):
 
 def _cmd_class(args):
     word = core.parse_word(args.word)
-    members = analysis.equivalence_class(word, cap=args.cap)
-    with _open_out(args) as out:
+    with _open_out(args) as out:  # before the 2^n scan, so a bad path fails fast
+        members = analysis.equivalence_class(word, cap=args.cap)
         for member in sorted(members, reverse=True):
             out.write(member + "\n")
     return 0
@@ -121,8 +121,6 @@ def _cmd_verify_gray(args):
             except ValueError as exc:
                 raise ValueError(f"line {count}: {exc}") from exc
     else:
-        if args.n is None:
-            raise ValueError("verify-gray needs --n or --stdin")
         count = 0
 
         def sink(view):
@@ -225,10 +223,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_class)
 
     p = sub.add_parser("verify-gray", help="check Gray closeness of a listing")
-    p.add_argument("--n", type=_positive, default=None)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--n", type=_positive)
+    source.add_argument("--stdin", action="store_true",
+                        help="read the listing from stdin instead of generating")
     p.add_argument("--cyclic", action="store_true")
-    p.add_argument("--stdin", action="store_true",
-                   help="read the listing from stdin instead of generating")
     p.set_defaults(func=_cmd_verify_gray)
 
     p = sub.add_parser("stats", help="critical prefix, rejection and count statistics")

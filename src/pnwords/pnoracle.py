@@ -16,11 +16,10 @@ proportional to its critical prefix length.
 
 The walk is one iterative loop over an explicit stack, so weight classes
 of any depth work, with the swap, membership test and f upkeep written
-inline.  ``OracleState``'s methods are the same steps one call each: the
-slow twin that ``validate=True`` checks every inlined answer against.
-
-The word buffer carries n trailing zeros so window reads never need a
-bounds check.
+inline.  ``validate=True`` checks them against independent references:
+``f`` against ``core.max_ones``, each bound against ``is_prefix_normal``
+through ``bubble.naive_oracle``, and each return from a child against
+the state before it was entered.
 """
 
 from dataclasses import astuple, dataclass
@@ -54,85 +53,6 @@ class GenerationStats:
         return self.symbol_reads / self.count
 
 
-class OracleState:
-    """Mutable word buffer plus the maintained window-maxima array.
-
-    ``buf`` is 1-based and has length 2n+1; positions n+1..2n stay 0.
-    ``f[i]`` equals the maximum number of 1s over length-i windows of the
-    current node's suffix (everything past the leading 1-run and 0-run)
-    padded with zeros; it is meaningful for i up to s+t and starts all
-    zero at a root 1^d 0^(n-d).
-    """
-
-    __slots__ = ("n", "buf", "f", "word", "_mv",
-                 "membership_calls", "symbol_reads", "swaps")
-
-    def __init__(self, n: int, d: int):
-        if not 0 <= d <= n:
-            raise ValueError(f"need 0 <= d <= n, got d={d}, n={n}")
-        self.n = n
-        self.buf = bytearray(2 * n + 1)
-        for i in range(1, d + 1):
-            self.buf[i] = 1
-        self.f = bytearray(n + 2) if n < 256 else [0] * (n + 2)
-        self._mv = memoryview(self.buf)
-        self.word = self._mv.toreadonly()[1:n + 1]
-        self.membership_calls = 0
-        self.symbol_reads = 0
-        self.swaps = 0
-
-    def swap(self, i: int, j: int) -> None:
-        buf = self.buf
-        buf[i], buf[j] = buf[j], buf[i]
-        self.swaps += 1
-
-    def member_pn(self, s: int, j: int) -> bool:
-        """Does swap(word, s, s+j) stay prefix normal?
-
-        Requires the current word 1^s 0^t gamma to be prefix normal and
-        1 <= j <= t.  Counts the 1s in the child's window from position
-        s+j to 2(s+j-1) (the swapped-in 1 included) and consults
-        f[s+j-1]; O(s+j) time.
-        """
-        self.membership_calls += 1
-        x = s + j
-        hi = 2 * (x - 1)
-        ones = 1
-        if hi >= x + 1:
-            ones += sum(self._mv[x + 1:hi + 1])
-            self.symbol_reads += hi - x
-        return ones < s and self.f[x - 1] < s
-
-    def oracle_pn(self, s: int, t: int) -> int:
-        """Bubble upper bound: largest j <= t with member_pn true for all
-        of 1..j."""
-        j = 1
-        while j <= t and self.member_pn(s, j):
-            j += 1
-        return j - 1
-
-    def update_f(self, x: int) -> None:
-        """Fold in the window counts starting at position x (call with the
-        swap already applied, x = s+i); touches f[1..x+1]."""
-        buf = self.buf
-        f = self.f
-        ones = 0
-        fi = 1
-        for k in range(x, 2 * x + 1):
-            ones += buf[k]
-            if f[fi] < ones:
-                f[fi] = ones
-            fi += 1
-        self.symbol_reads += x + 1
-
-    def snapshot(self, x: int):
-        """Copy of f[1..x+1], exactly the segment update_f(x) may write."""
-        return self.f[1:x + 2]
-
-    def restore(self, x: int, saved) -> None:
-        self.f[1:x + 2] = saved
-
-
 _ORDERS = ("coolex", "visit-first")  # public orders; "reverse" is internal
 
 
@@ -141,9 +61,8 @@ def _check_order(order: str) -> None:
         raise ValueError(f"order must be one of {_ORDERS}")
 
 
-def _gen_weight(st: OracleState, d: int, visit, order: str, validate: bool,
-                bound=None):
-    """Walk one weight class from the root 1^d 0^(n-d) in st.buf.
+def _gen_weight(n: int, d: int, visit, order: str, validate: bool, bound=None):
+    """Walk the weight-d class of length-n words from the root 1^d 0^(n-d).
 
     order: "coolex" (post-order), "visit-first" (pre-order, children left
     to right) or "reverse" (pre-order, children right to left, which
@@ -154,15 +73,25 @@ def _gen_weight(st: OracleState, d: int, visit, order: str, validate: bool,
     it must return the bubble upper bound of the node 1^s 0^t gamma, and
     the f upkeep is skipped.  validate applies to the prefix normal test.
 
+    ``buf`` is 1-based and has length 2n+1; positions n+1..2n stay 0, so
+    window reads never need a bounds check.  ``f[i]`` is the maximum
+    number of 1s over length-i windows of the current node's suffix
+    (everything past the leading 1-run and 0-run) padded with zeros; it
+    is meaningful for i up to s+t and starts all zero at the root.
+
     One loop over a stack of frames (s, t, i, j, saved): parent node
     1^s 0^t gamma, current child i, the parent's bound j, and the f
-    segment the child's update overwrote.  It inlines the OracleState
-    methods; with validate, each node checks its answers against them.
+    segment the child's update overwrote.
     """
+    if not 0 <= d <= n:
+        raise ValueError(f"need 0 <= d <= n, got d={d}, n={n}")
+    buf = bytearray(2 * n + 1)
+    buf[1:d + 1] = bytes([1]) * d
+    f = bytearray(n + 2) if n < 256 else [0] * (n + 2)
+    word = memoryview(buf).toreadonly()[1:n + 1]
     pre = order != "coolex"
     step = -1 if order == "reverse" else 1
     pn = bound is None
-    buf, f, word = st.buf, st.f, st.word
     count = cr_sum = calls = reads = swaps = 0
     stack = []
     saved = None
@@ -172,19 +101,18 @@ def _gen_weight(st: OracleState, d: int, visit, order: str, validate: bool,
     def check_node(s, t, j):
         # f[1..s+t] must equal the window maxima (core.max_ones) of the
         # suffix past the critical prefix, zero-padded to length n.
-        brute = core.max_ones(word_str(st._mv[s + t + 1:s + t + 1 + st.n]))[1:s + t + 1]
+        brute = core.max_ones(word_str(buf[s + t + 1:s + t + 1 + n]))[1:s + t + 1]
         if list(f[1:s + t + 1]) != brute:
             raise GenerationInvariantError(
                 f"f[1..{s + t}] = {list(f[1:s + t + 1])} != {brute} at {word_str(word)}")
-        # The inlined test said yes to children 1..j and no to child j+1, so
-        # equal bounds mean equal answers child by child: member_pn's, and
-        # is_prefix_normal's, which the naive oracle asks.
-        bounds = (st.oracle_pn(s, t), naive(s, t, word)) if s and t else (0, 0)
-        if bounds != (j, j):
+        # The inlined test said yes to children 1..j and no to child j+1;
+        # the naive oracle asks is_prefix_normal about the same children.
+        expected = naive(s, t, word) if s and t else 0
+        if j != expected:
             raise GenerationInvariantError(
-                f"bound {j} != (oracle_pn, naive) bounds {bounds} at {word_str(word)}")
+                f"bound {j} != naive bound {expected} at {word_str(word)}")
 
-    s, t = d, st.n - d
+    s, t = d, n - d
     while True:  # buf and f hold the node 1^s 0^t gamma, just entered
         if pre:
             count += 1
@@ -252,7 +180,7 @@ def _gen_weight(st: OracleState, d: int, visit, order: str, validate: bool,
 def _run_weights(n, weight_orders, visit, validate):
     stats = GenerationStats()
     for d, order in weight_orders:
-        counters = _gen_weight(OracleState(n, d), d, visit, order, validate)
+        counters = _gen_weight(n, d, visit, order, validate)
         stats = GenerationStats(*map(add, astuple(stats), counters))
     return stats
 
@@ -333,9 +261,12 @@ def simple_generate_pn(n: int, visit=None) -> GenerationStats:
 
 
 def pn_words(n: int, *, cyclic: bool = False, order: str = "coolex") -> list[str]:
-    """Materialized listing (convenience wrapper for small n)."""
+    """Materialized listing (convenience wrapper for small n).  The cyclic
+    listing fixes its own order, so ``cyclic`` takes only the default."""
     sink = bubble.Collector()
     if cyclic:
+        if order != "coolex":
+            raise ValueError(f"cyclic cannot be combined with order={order!r}")
         generate_all_pn_cyclic(n, sink)
     else:
         generate_all_pn(n, sink, order=order)

@@ -164,6 +164,14 @@ class TestBubbleCharacterizations:
         with pytest.raises(ValueError):
             bubble.check_tree_closure(["1100"], 4, 3)
 
+    @pytest.mark.parametrize("check", (bubble.is_first01_bubble, bubble.check_tree_closure))
+    def test_length_zero(self, check):
+        assert check([], 0, 0) is True
+        assert check([""], 0, 0) is True
+        for words in (["1"], ["11"], ["0"]):
+            with pytest.raises(ValueError):
+                check(words, 0, 0)
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_checkers_agree_on_random_subsets(self, n):
         rng = random.Random(1729 + n)

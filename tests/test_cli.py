@@ -146,6 +146,15 @@ class TestCliInProcess:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(path) in err
 
+    def test_class_opens_out_before_the_scan(self, monkeypatch, tmp_path, capsys):
+        def scan(*args, **kwargs):
+            raise AssertionError("scanned before opening --out")
+
+        monkeypatch.setattr(cli.analysis, "equivalence_class", scan)
+        path = tmp_path / "missing" / "x"
+        assert cli.run(["class", "1101", "--out", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write ")
+
     def test_generate_deep_weight_class(self, capsys):
         # a path 1199 tree levels deep, past the default recursion limit
         assert cli.run(["generate", "--n", "2400", "--weight", "2399"]) == 0
@@ -210,6 +219,10 @@ class TestCliInProcess:
 
     def test_verify_gray_needs_source(self, capsys):
         assert cli.run(["verify-gray"]) == 2
+
+    def test_verify_gray_takes_one_source(self, capsys):
+        assert cli.run(["verify-gray", "--n", "5", "--stdin"]) == 2
+        assert "not allowed with" in capsys.readouterr().err
 
     def test_stats_ratio(self, capsys):
         assert cli.run(["stats", "ratio", "--n", "10", "--mode", "trivial"]) == 0

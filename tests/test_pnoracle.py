@@ -45,65 +45,6 @@ def weight_blocks(words):
     return [(d, list(g)) for d, g in groupby(words, key=lambda w: w.count("1"))]
 
 
-class TestOracleState:
-    def test_root_state(self):
-        st = pnoracle.OracleState(7, 4)
-        assert bubble.word_str(st.word) == "1111000"
-        assert list(st.f) == [0] * 9
-        assert len(st.buf) == 15  # index 0 plus n word positions plus n zeros
-
-    def test_member_at_root(self):
-        st = pnoracle.OracleState(7, 4)
-        assert st.member_pn(4, 1) is True
-        assert st.member_pn(4, 2) is True
-        assert st.member_pn(4, 3) is True
-        assert st.oracle_pn(4, 3) == 3
-
-    def test_oracle_at_weight3_root(self):
-        st = pnoracle.OracleState(7, 3)
-        assert st.oracle_pn(3, 4) == 4
-
-    def test_update_f_after_first_swaps(self):
-        # descend from 1110000 to 1100100 (swap positions 3 and 5)
-        st = pnoracle.OracleState(7, 3)
-        st.swap(3, 5)
-        assert bubble.word_str(st.word) == "1100100"
-        st.update_f(5)
-        assert list(st.f[1:7]) == [1, 1, 1, 1, 1, 1]
-
-    def test_member_rejects_window_violation(self):
-        # node 1101100 reached by 1111000 -> 1110100 -> 1101100
-        st = pnoracle.OracleState(7, 4)
-        st.swap(4, 5)
-        st.update_f(5)
-        st.swap(3, 4)
-        st.update_f(4)
-        assert bubble.word_str(st.word) == "1101100"
-        assert st.member_pn(2, 1) is False  # 1011100 is not prefix normal
-
-    def test_snapshot_restore_roundtrip(self):
-        st = pnoracle.OracleState(7, 3)
-        st.swap(3, 5)
-        saved = st.snapshot(5)
-        before = bytes(st.f)
-        st.update_f(5)
-        assert bytes(st.f) != before
-        st.restore(5, saved)
-        assert bytes(st.f) == before
-
-    def test_update_f_idempotent(self):
-        st = pnoracle.OracleState(7, 3)
-        st.swap(3, 5)
-        st.update_f(5)
-        once = bytes(st.f)
-        st.update_f(5)
-        assert bytes(st.f) == once
-
-    def test_rejects_bad_weight(self):
-        with pytest.raises(ValueError):
-            pnoracle.OracleState(3, 4)
-
-
 class TestGenerateAll:
     def test_counts_match_reference_sequence(self):
         assert [pnoracle.generate_all_pn(n).count for n in range(1, 13)] == PNW_COUNTS
@@ -187,6 +128,11 @@ class TestCyclic:
         assert [d for d, _ in weight_blocks(words)] == [1, 3, 5, 4, 2, 0]
         assert words[0].count("1") == 1 and words[-1].count("1") == 0
         assert pnoracle.pn_words(1, cyclic=True) == ["1", "0"]
+
+    @pytest.mark.parametrize("order", ("visit-first", "bogus"))
+    def test_rejects_order(self, order):
+        with pytest.raises(ValueError):
+            pnoracle.pn_words(4, cyclic=True, order=order)
 
     def test_odd_blocks_are_reversed_coolex(self):
         cyclic_blocks = dict(weight_blocks(pnoracle.pn_words(9, cyclic=True)))
