@@ -10,14 +10,13 @@ numpy and the pool are imported only when a scan runs, so the other
 commands and ``import pnwords`` do not load them.
 """
 
-import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import log2
 
 from . import core
-from .pnoracle import generate_all_pn
+from .pnoracle import _cores, generate_all_pn
 
 DEFAULT_EXHAUSTIVE_CAP = 20
 _CHUNK = 1 << 16  # words per kernel call: a uint32 temporary is 256 KiB
@@ -173,7 +172,7 @@ def _chunks(n):
 
 def _map_chunks(kernel, n, jobs):
     spans = list(_chunks(n))
-    workers = min(jobs, len(spans), os.cpu_count() or 1)
+    workers = min(jobs, len(spans), _cores())
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:

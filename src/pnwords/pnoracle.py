@@ -20,11 +20,15 @@ inline.  ``validate=True`` checks them against independent references:
 ``f`` against ``core.max_ones``, each bound against ``is_prefix_normal``
 through ``bubble.naive_oracle``, and each return from a child against
 the state before it was entered.
+
+The weight classes share no state, so a run that only counts (no
+``visit`` sink) walks them in a process pool once n is large enough for
+the pool to pay, with one worker per usable core, and sums the counters.
 """
 
-from dataclasses import astuple, dataclass
+import os
+from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 
 from . import bubble, core
 from .bubble import word_str
@@ -177,12 +181,45 @@ def _gen_weight(n: int, d: int, visit, order: str, validate: bool, bound=None):
                     f"state not restored after child {i} of {word_str(word)}")
 
 
+# Smallest n at which a counting run walks its weight classes in a process
+# pool.  In a fresh process the pool's import and start-up cost about 60 ms,
+# which at smaller n is more than the second core saves.
+_POOL_MIN_N = 20
+
+
+def _cores() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (so ``taskset`` limits it), else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pool_weights(n, weight_orders, validate, workers):
+    """Counters of each class, walked in a process pool; None when no pool
+    can be started.  Classes go out largest first, so the last to finish
+    are small and the workers end together.  The workers ignore SIGINT:
+    Ctrl-C reaches the parent, whose ``with`` exit terminates them."""
+    import multiprocessing
+    import signal
+    classes = sorted(weight_orders, key=lambda dw: abs(2 * dw[0] - n))
+    try:
+        pool = multiprocessing.Pool(workers, signal.signal, (signal.SIGINT, signal.SIG_IGN))
+    except (OSError, ImportError):  # no working semaphores, or no fork
+        return None
+    with pool:
+        return pool.starmap(_gen_weight, [(n, d, None, order, validate) for d, order in classes],
+                            chunksize=1)
+
+
 def _run_weights(n, weight_orders, visit, validate):
-    stats = GenerationStats()
-    for d, order in weight_orders:
-        counters = _gen_weight(n, d, visit, order, validate)
-        stats = GenerationStats(*map(add, astuple(stats), counters))
-    return stats
+    workers = min(_cores(), len(weight_orders))
+    results = None
+    if visit is None and n >= _POOL_MIN_N and workers > 1:
+        results = _pool_weights(n, weight_orders, validate, workers)
+    if results is None:
+        results = [_gen_weight(n, d, visit, order, validate) for d, order in weight_orders]
+    return GenerationStats(*map(sum, zip(*results)))
 
 
 def gen_bubble_pn(n: int, d: int, visit=None, *, order: str = "coolex",
@@ -203,7 +240,7 @@ def generate_all_pn(n: int, visit=None, *, order: str = "coolex",
     if n < 0:
         raise ValueError("n must be non-negative")
     _check_order(order)
-    return _run_weights(n, ((d, order) for d in range(n + 1)), visit, validate)
+    return _run_weights(n, [(d, order) for d in range(n + 1)], visit, validate)
 
 
 def generate_all_pn_cyclic(n: int, visit=None, *,

@@ -1,3 +1,4 @@
+import os
 import random
 from fractions import Fraction
 
@@ -285,13 +286,38 @@ class TestScanKernels:
                 return map(fn, items)
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
-        monkeypatch.setattr(analysis.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         monkeypatch.setattr(analysis, "_CHUNK", 1 << 6)
         want = analysis.rejection_ratio(12, "combined").rejected
         assert analysis.rejection_ratio(12, "combined", jobs=10**6).rejected == want
         assert analysis.critical_prefix_sum(12, jobs=10**6) == 3 * 2**12 - 15
         assert made == [3, 3]
         assert analysis.critical_prefix_sum(6, jobs=10**6) == 3 * 2**6 - 9  # one chunk
-        monkeypatch.setattr(analysis.os, "cpu_count", lambda: None)  # unknown: one core
+        monkeypatch.delattr(os, "sched_getaffinity")  # no affinity mask: the CPU count
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one core
         assert analysis.critical_prefix_sum(12, jobs=10**6) == 3 * 2**12 - 15
         assert made == [3, 3]
+
+    def test_one_usable_core_starts_no_pool(self, monkeypatch):
+        # taskset -c 0 on a many-core machine: neither the scan's thread
+        # pool nor the counting run's process pool is constructed
+        import concurrent.futures
+        import multiprocessing
+
+        made = []
+
+        def refuse(name):
+            def construct(*args, **kwargs):
+                made.append(name)
+                raise AssertionError(f"{name} constructed")
+            return construct
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse("threads"))
+        monkeypatch.setattr(multiprocessing, "Pool", refuse("processes"))
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(analysis, "_CHUNK", 1 << 6)
+        monkeypatch.setattr(pnoracle, "_POOL_MIN_N", 0)
+        assert analysis.critical_prefix_sum(12, jobs=4) == 3 * 2**12 - 15
+        assert analysis.count_pnw(12) == PNW_COUNTS[11]
+        assert made == []

@@ -41,7 +41,8 @@ class TestCliSubprocess:
             "def loaded(*argv):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        pnwords.cli.run(list(argv))\n"
-            "    return [m for m in ('numpy', 'concurrent.futures') if m in sys.modules]\n"
+            "    return [m for m in ('numpy', 'concurrent.futures', 'multiprocessing')\n"
+            "            if m in sys.modules]\n"
             "print(loaded('count', '--n', '8'), loaded('generate', '--n', '8'),\n"
             "      loaded('stats', 'ratio', '--n', '8'))\n")
         proc = subprocess.run([sys.executable, "-c", script],
@@ -119,6 +120,14 @@ class TestCliSubprocess:
     def test_malformed_word_exits_2(self):
         code, _, err = run_cli("member", "10a01")
         assert code == 2 and "invalid character" in err
+
+    @pytest.mark.parametrize("command", ["member", "pnf", "class"])
+    def test_non_utf8_word_exits_2(self, command):
+        proc = subprocess.run([sys.executable, "-m", "pnwords", command, b"1\xff0"],
+                              capture_output=True)
+        assert proc.returncode == 2 and proc.stdout == b""
+        lines = proc.stderr.decode("ascii", "replace").splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: invalid character ")
 
     def test_weight_above_length_exits_2(self):
         code, _, err = run_cli("generate", "--n", "5", "--weight", "7")

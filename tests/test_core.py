@@ -85,6 +85,18 @@ class TestPnf:
         assert core.is_prefix_normal(w) == (w1 == w)
         assert core.max_ones(w1) == core.max_ones(w)
 
+    @given(words_st)
+    def test_returns_a_prefix_normal_word(self, w):
+        assert brute_is_prefix_normal(core.pnf(w))
+
+    @settings(max_examples=60, deadline=None)
+    @given(long_words_st)
+    def test_long_words_idempotent_and_prefix_normal(self, w):
+        w1 = core.pnf(w)
+        assert core.pnf(w1) == w1
+        assert core.is_prefix_normal(w1)
+        assert core.weight(w1) == core.weight(w)
+
 
 class TestIsPrefixNormal:
     def test_examples(self):
@@ -183,6 +195,16 @@ class TestTwoPhaseMember:
             w = format(rng.getrandbits(n), f"0{n}b") if n else ""
             assert core.member_two_phase(w) == core.is_prefix_normal(w), w
 
+    @settings(deadline=None)
+    @given(long_words_st)
+    def test_agrees_with_quadratic_scan_on_long_words(self, w):
+        # random words rarely pass the linear phase, so their prefix normal
+        # forms and a one-symbol change of those are checked as well
+        v = core.pnf(w)
+        flipped = v[:-1] + "10"[int(v[-1])] if v else v
+        for u in (w, v, flipped):
+            assert core.member_two_phase(u) == core.is_prefix_normal(u), u
+
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             core.phase1_rejects("10", "fast")
@@ -271,6 +293,12 @@ class TestBjpmIndex:
             for x in range(n + 1):
                 for y in range(n + 1 - x):
                     assert idx.query(x, y) == ((x, y) in achievable), (w, x, y)
+
+    @given(st.text(alphabet="01", max_size=40), st.integers(0, 42), st.integers(0, 42))
+    def test_query_matches_window_scan(self, w, x, y):
+        k = x + y
+        windows = (w[i:i + k].count("1") for i in range(len(w) - k + 1))
+        assert core.BjpmIndex.from_word(w).query(x, y) == (x in windows)
 
     @given(words_st)
     def test_min_le_max(self, w):

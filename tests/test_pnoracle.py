@@ -1,11 +1,24 @@
+import os
+import signal
+import subprocess
+import sys
+import time
 from fractions import Fraction
 from itertools import groupby
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pnwords import bubble, core, pnoracle
 
-from conftest import PNW_COUNTS, all_words, brute_is_prefix_normal, coolex_reference
+from conftest import (
+    PNW_COUNTS,
+    all_words,
+    brute_is_prefix_normal,
+    coolex_reference,
+    words_of_weight,
+)
 
 
 # (count, cr_sum, membership_calls, symbol_reads, swaps) of generate_all_pn(n),
@@ -38,6 +51,30 @@ COUNTERS = {
 
 def counters(stats):
     return (stats.count, stats.cr_sum, stats.membership_calls, stats.symbol_reads, stats.swaps)
+
+
+def _broken_walk(n, d, visit, order, validate):
+    # module level, so a worker can unpickle it under any start method
+    raise pnoracle.GenerationInvariantError(f"weight {d} of {n} failed")
+
+
+@pytest.fixture
+def pooled(monkeypatch):
+    """Counting runs of every length take the process pool, with two
+    workers even on one core; returns the sizes of the pools made."""
+    import multiprocessing
+
+    made = []
+    real_pool = multiprocessing.Pool
+
+    def recording(workers, *args):
+        made.append(workers)
+        return real_pool(workers, *args)
+
+    monkeypatch.setattr(multiprocessing, "Pool", recording)
+    monkeypatch.setattr(pnoracle, "_POOL_MIN_N", 0)
+    monkeypatch.setattr(pnoracle, "_cores", lambda: 2)
+    return made
 
 
 def weight_blocks(words):
@@ -98,6 +135,16 @@ class TestSingleWeight:
             naive = bubble.Collector()
             bubble.gen_bubble(bubble.naive_oracle(core.is_prefix_normal), n, d, naive)
             assert fast.words == naive.words
+
+    @given(st.integers(0, 10).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(0, n), st.sampled_from(pnoracle._ORDERS))))
+    def test_listing_is_the_filtered_weight_class(self, case):
+        n, d, order = case
+        sink = bubble.Collector()
+        pnoracle.gen_bubble_pn(n, d, sink, order=order)
+        assert len(set(sink.words)) == len(sink.words)
+        assert sorted(sink.words) == sorted(
+            w for w in words_of_weight(n, d) if brute_is_prefix_normal(w))
 
     def test_rejects_bad_weight(self):
         with pytest.raises(ValueError):
@@ -199,6 +246,13 @@ class TestSimpleGenerator:
     def test_count_12(self):
         assert pnoracle.simple_generate_pn(12).count == 697
 
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n", range(13, 25))
+    def test_count_agrees_with_gray_generator(self, n):
+        # two independent algorithms; at the larger n the Gray count comes
+        # from the process pool
+        assert pnoracle.generate_all_pn(n).count == pnoracle.simple_generate_pn(n).count
+
     def test_long_words(self):
         # one level per position: 1200 levels, past the default recursion limit
         class Enough(Exception):
@@ -251,3 +305,84 @@ class TestStatsAndInstrumentation:
         assert stats.membership_calls > 0
         assert stats.swaps % 2 == 0  # every swap is undone
         assert stats.reads_per_word > 0
+
+
+class TestWeightPool:
+    """A counting run (no sink) walks its weight classes in a process pool
+    and sums their counters, which must equal the serial run's."""
+
+    @pytest.mark.parametrize("n", range(0, 13))
+    def test_counters_match_recorded_table(self, pooled, n):
+        assert counters(pnoracle.generate_all_pn(n)) == COUNTERS[n]
+        assert counters(pnoracle.generate_all_pn(n, order="visit-first")) == COUNTERS[n]
+        assert counters(pnoracle.generate_all_pn_cyclic(n)) == COUNTERS[n]
+        assert counters(pnoracle.generate_all_pn(n, validate=True)) == COUNTERS[n]
+        assert pooled == ([2] * 4 if n else [])  # n = 0 has one class
+
+    def test_spawn_start_method(self):
+        script = (
+            "import multiprocessing\n"
+            "from pnwords import pnoracle\n"
+            "multiprocessing.set_start_method('spawn')\n"
+            "pnoracle._POOL_MIN_N = 0\n"
+            "pnoracle._cores = lambda: 2\n"
+            "s = pnoracle.generate_all_pn(20)\n"
+            "print(s.count, s.cr_sum, s.membership_calls, s.symbol_reads, s.swaps)\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert tuple(map(int, proc.stdout.split())) == COUNTERS[20]
+
+    @pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
+    def test_ctrl_c_ends_parent_and_workers(self):
+        script = ("from pnwords import pnoracle\n"
+                  "pnoracle._cores = lambda: 2\n"
+                  "pnoracle.generate_all_pn(30)\n")
+        proc = subprocess.Popen([sys.executable, "-c", script], start_new_session=True,
+                                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        try:
+            time.sleep(1.5)
+            os.killpg(proc.pid, signal.SIGINT)  # Ctrl-C signals the whole group
+            _, err = proc.communicate(timeout=30)
+            assert b"KeyboardInterrupt" in err
+            with pytest.raises(ProcessLookupError):  # no worker outlives the parent
+                os.killpg(proc.pid, 0)
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+
+    def test_pool_that_cannot_start_runs_serially(self, monkeypatch):
+        import multiprocessing
+
+        tried = []
+
+        def no_pool(workers, *args):
+            tried.append(workers)
+            raise OSError("no /dev/shm")
+
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        monkeypatch.setattr(pnoracle, "_POOL_MIN_N", 0)
+        monkeypatch.setattr(pnoracle, "_cores", lambda: 2)
+        for n in range(1, 13):
+            assert counters(pnoracle.generate_all_pn(n)) == COUNTERS[n]
+        assert tried == [2] * 12
+
+    def test_serial_paths_make_no_pool(self, pooled, monkeypatch):
+        pnoracle.generate_all_pn(12, bubble.Collector())
+        pnoracle.generate_all_pn_cyclic(12, lambda word: None)
+        pnoracle.gen_bubble_pn(12, 6)
+        pnoracle.pn_words(8)
+        assert pooled == []
+        monkeypatch.setattr(pnoracle, "_POOL_MIN_N", 13)
+        assert counters(pnoracle.generate_all_pn(12)) == COUNTERS[12]
+        assert pooled == []
+        assert counters(pnoracle.generate_all_pn(13)) == COUNTERS[13]
+        assert pooled == [2]
+
+    def test_worker_error_reraises_in_parent(self, pooled, monkeypatch):
+        monkeypatch.setattr(pnoracle, "_gen_weight", _broken_walk)
+        with pytest.raises(pnoracle.GenerationInvariantError, match=r"weight \d of 6 failed"):
+            pnoracle.generate_all_pn(6, validate=True)
+        assert pooled == [2]
