@@ -22,11 +22,12 @@ through ``bubble.naive_oracle``, and each return from a child against
 the state before it was entered.
 
 The weight classes share no state, so a run that only counts (no
-``visit`` sink) walks them in a process pool once n is large enough for
-the pool to pay, with one worker per usable core, and sums the counters.
+``visit`` sink) walks them in a pool of forked processes once n is large
+enough for the pool to pay, one per usable core, and sums the counters.
 """
 
 import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -199,13 +200,27 @@ def _pool_weights(n, weight_orders, validate, workers):
     """Counters of each class, walked in a process pool; None when no pool
     can be started.  Classes go out largest first, so the last to finish
     are small and the workers end together.  The workers ignore SIGINT:
-    Ctrl-C reaches the parent, whose ``with`` exit terminates them."""
+    Ctrl-C reaches the parent, whose ``with`` exit terminates them.
+
+    The workers are forked whatever the default start method is: spawn
+    and forkserver workers import the caller's main module again, which
+    runs a script's unguarded top-level code, counting run included, in
+    every worker.  So the walk stays serial where fork is missing
+    (Windows) or unsafe: on macOS, whose system libraries may start
+    threads; while other threads run, as a lock one of them holds would
+    stay locked in the child; and in a daemonic process, such as a
+    ``multiprocessing.Pool`` worker, which may not have children."""
     import multiprocessing
     import signal
+    import threading
+    if (sys.platform == "darwin" or threading.active_count() > 1
+            or multiprocessing.current_process().daemon):
+        return None
     classes = sorted(weight_orders, key=lambda dw: abs(2 * dw[0] - n))
     try:
-        pool = multiprocessing.Pool(workers, signal.signal, (signal.SIGINT, signal.SIG_IGN))
-    except (OSError, ImportError):  # no working semaphores, or no fork
+        context = multiprocessing.get_context("fork")
+        pool = context.Pool(workers, signal.signal, (signal.SIGINT, signal.SIG_IGN))
+    except (ValueError, OSError, ImportError):  # no fork, no semaphores, or no sem_open
         return None
     with pool:
         return pool.starmap(_gen_weight, [(n, d, None, order, validate) for d, order in classes],

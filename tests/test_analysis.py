@@ -313,7 +313,7 @@ class TestScanKernels:
             return construct
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse("threads"))
-        monkeypatch.setattr(multiprocessing, "Pool", refuse("processes"))
+        monkeypatch.setattr(multiprocessing, "get_context", refuse("processes"))
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(analysis, "_CHUNK", 1 << 6)

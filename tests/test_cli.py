@@ -50,6 +50,25 @@ class TestCliSubprocess:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[] [] ['numpy']\n"
 
+    def test_bench_imports_the_pool_before_its_first_row(self):
+        # the one-off import would otherwise land in the first pooled row's time
+        script = (
+            "import contextlib, io, sys\n"
+            "from pnwords import cli, pnoracle\n"
+            "walk, seen = pnoracle.generate_all_pn, []\n"
+            "def timed(n):\n"
+            "    seen.append('multiprocessing.pool' in sys.modules)\n"
+            "    return walk(n)\n"
+            "pnoracle.generate_all_pn, pnoracle._POOL_MIN_N = timed, 10\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    cli.run(['bench', '--n-min', '8', '--n-max', '9'])\n"
+            "    cli.run(['bench', '--n-min', '8', '--n-max', '10'])\n"
+            "print(seen)\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[False, False, True, True, True]\n"
+
     def test_generate_matches_listing(self):
         code, out, _ = run_cli("generate", "--n", "7")
         assert code == 0

@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -5,6 +6,7 @@ import sys
 import time
 from fractions import Fraction
 from itertools import groupby
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -58,20 +60,26 @@ def _broken_walk(n, d, visit, order, validate):
     raise pnoracle.GenerationInvariantError(f"weight {d} of {n} failed")
 
 
+def _count_in_worker(n):
+    return counters(pnoracle.generate_all_pn(n))
+
+
 @pytest.fixture
 def pooled(monkeypatch):
     """Counting runs of every length take the process pool, with two
     workers even on one core; returns the sizes of the pools made."""
-    import multiprocessing
-
     made = []
-    real_pool = multiprocessing.Pool
+    real_get_context = multiprocessing.get_context
 
-    def recording(workers, *args):
-        made.append(workers)
-        return real_pool(workers, *args)
+    def recording(method):
+        context = real_get_context(method)
 
-    monkeypatch.setattr(multiprocessing, "Pool", recording)
+        def pool(workers, *args):
+            made.append(workers)
+            return context.Pool(workers, *args)
+        return SimpleNamespace(Pool=pool)
+
+    monkeypatch.setattr(multiprocessing, "get_context", recording)
     monkeypatch.setattr(pnoracle, "_POOL_MIN_N", 0)
     monkeypatch.setattr(pnoracle, "_cores", lambda: 2)
     return made
@@ -307,6 +315,8 @@ class TestStatsAndInstrumentation:
         assert stats.reads_per_word > 0
 
 
+@pytest.mark.skipif(sys.platform == "darwin" or "fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the weight pool forks its workers; elsewhere runs stay serial")
 class TestWeightPool:
     """A counting run (no sink) walks its weight classes in a process pool
     and sums their counters, which must equal the serial run's."""
@@ -319,19 +329,48 @@ class TestWeightPool:
         assert counters(pnoracle.generate_all_pn(n, validate=True)) == COUNTERS[n]
         assert pooled == ([2] * 4 if n else [])  # n = 0 has one class
 
-    def test_spawn_start_method(self):
-        script = (
-            "import multiprocessing\n"
+    def test_spawn_start_method(self, tmp_path):
+        # a script with no __main__ guard: spawned workers would import it
+        # again and count once more each, so the pool forks its workers
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            "import multiprocessing, sys\n"
             "from pnwords import pnoracle\n"
             "multiprocessing.set_start_method('spawn')\n"
             "pnoracle._POOL_MIN_N = 0\n"
             "pnoracle._cores = lambda: 2\n"
             "s = pnoracle.generate_all_pn(20)\n"
-            "print(s.count, s.cr_sum, s.membership_calls, s.symbol_reads, s.swaps)\n")
-        proc = subprocess.run([sys.executable, "-c", script],
-                              capture_output=True, text=True, timeout=300)
+            "print('multiprocessing.pool' in sys.modules,\n"
+            "      s.count, s.cr_sum, s.membership_calls, s.symbol_reads, s.swaps)\n")
+        proc = subprocess.run([sys.executable, str(script)],
+                              capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert tuple(map(int, proc.stdout.split())) == COUNTERS[20]
+        pooled, *got = proc.stdout.split()
+        assert pooled == "True" and tuple(map(int, got)) == COUNTERS[20]
+
+    def test_pool_worker_counts_serially(self, monkeypatch):
+        # a daemonic process may not have children: a count spread over a
+        # user's own pool runs each call serially inside its worker
+        monkeypatch.setattr(pnoracle, "_POOL_MIN_N", 0)
+        monkeypatch.setattr(pnoracle, "_cores", lambda: 2)
+        with multiprocessing.get_context("fork").Pool(2) as pool:
+            assert pool.map_async(_count_in_worker, [11, 12]).get(timeout=60) == [
+                COUNTERS[11], COUNTERS[12]]
+
+    def test_other_threads_keep_the_run_serial(self, pooled):
+        import threading
+
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert counters(pnoracle.generate_all_pn(12)) == COUNTERS[12]
+        finally:
+            release.set()
+            thread.join()
+        assert pooled == []
+        assert counters(pnoracle.generate_all_pn(12)) == COUNTERS[12]
+        assert pooled == [2]
 
     @pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
     def test_ctrl_c_ends_parent_and_workers(self):
@@ -354,15 +393,13 @@ class TestWeightPool:
                 pass
 
     def test_pool_that_cannot_start_runs_serially(self, monkeypatch):
-        import multiprocessing
-
         tried = []
 
         def no_pool(workers, *args):
             tried.append(workers)
             raise OSError("no /dev/shm")
 
-        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=no_pool))
         monkeypatch.setattr(pnoracle, "_POOL_MIN_N", 0)
         monkeypatch.setattr(pnoracle, "_cores", lambda: 2)
         for n in range(1, 13):
