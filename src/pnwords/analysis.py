@@ -1,6 +1,7 @@
 """Verifiers and statistics over prefix normal word listings.
 
-Includes the Gray-closeness checker, exhaustive critical-prefix sums,
+Includes the Gray-closeness checker (close: at most two positions go 1->0
+and at most two go 0->1), exhaustive critical-prefix sums,
 prefix-normal-form equivalence classes, sampled critical prefixes of
 prefix normal forms, and the rejection-rate table for the two-phase
 membership tester's linear phase.  Exhaustive 2^n scans run numpy
@@ -48,22 +49,16 @@ def transposition_counts(u: str, v: str) -> tuple[int, int]:
     """(p, q) = number of positions going 1->0 and 0->1 between u and v."""
     if len(u) != len(v):
         raise ValueError("words must have equal length")
-    a = int(u, 2) if u else 0
-    b = int(v, 2) if v else 0
+    a = int(core._check_word(u), 2) if u else 0
+    b = int(core._check_word(v), 2) if v else 0
     return (a & ~b).bit_count(), (b & ~a).bit_count()
 
 
 def gray_close(p: int, q: int) -> bool:
-    """At most two operations, each a swap (one 1->0 plus one 0->1) or a
-    single bit flip: two swaps, a swap and a flip, or two flips."""
-    dw = q - p
-    if dw == 0:
-        return p <= 2
-    if dw in (1, -1):
-        return min(p, q) <= 1
-    if dw in (2, -2):
-        return min(p, q) == 0
-    return False
+    """Do at most two swaps (one 1->0 plus one 0->1) or bit flips make p
+    1->0 and q 0->1 changes?  The fewest such operations is max(p, q):
+    pair min(p, q) of the changes into swaps and flip the rest."""
+    return p <= 2 and q <= 2
 
 
 class GrayChecker:
@@ -71,7 +66,7 @@ class GrayChecker:
 
     Each word is parsed to an int once.  A pair that differs in at most
     two positions has p + q <= 2 and is always close, so (p, q) is
-    counted only for the other pairs.
+    counted only for the other pairs.  ``pairs`` is set by finish().
     """
 
     def __init__(self, cyclic: bool = False):
@@ -82,6 +77,8 @@ class GrayChecker:
         self._index = 0
 
     def feed(self, word: str) -> None:
+        """Check word against the last word fed.  Callers must pass 0/1
+        text: feed does not validate, and ``int(word, 2)`` takes '0b1'."""
         b = int(word, 2) if word else 0
         if self._prev is None:
             self._first = word
@@ -89,11 +86,10 @@ class GrayChecker:
             u, a = self._prev
             if len(u) != len(word):
                 raise ValueError("words must have equal length")
-            self.report.pairs += 1
             d = a ^ b
             if d.bit_count() > 2:
                 p, q = (a & d).bit_count(), (b & d).bit_count()
-                if not gray_close(p, q):
+                if p > 2 or q > 2:  # not gray_close(p, q)
                     self.report.violations.append(
                         GrayViolation(self._index - 1, u, word, p, q))
         self._prev = word, b
@@ -102,6 +98,7 @@ class GrayChecker:
     def finish(self) -> GrayReport:
         if self.cyclic and self._index > 1:
             self.feed(self._first)  # the wrap-around pair (last, first)
+        self.report.pairs = max(self._index - 1, 0)
         return self.report
 
 
@@ -110,7 +107,7 @@ def verify_gray(words, cyclic: bool = False) -> GrayReport:
     pair when cyclic) against the Gray closeness relation."""
     checker = GrayChecker(cyclic=cyclic)
     for w in words:
-        checker.feed(w)
+        checker.feed(core._check_word(w))
     return checker.finish()
 
 
@@ -232,11 +229,7 @@ def critical_prefix_of_pnf(w: str) -> int:
     if n == 0:
         raise ValueError("empty word has no critical prefix")
     ones = core.positions(w)
-    longest = run = 0
-    for c in w:
-        run = run + 1 if c == "1" else 0
-        if run > longest:
-            longest = run
+    longest = max(map(len, w.split("0")))
     if len(ones) == longest:  # covers the all-zero word as well
         return n
     return core.shortest_window(ones, longest + 1) - 1

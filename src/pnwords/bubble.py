@@ -16,6 +16,8 @@ Sinks receive a read-only memoryview of 0/1 byte values that is only
 valid during the visit call (the underlying word mutates afterwards).
 """
 
+from .core import _check_word
+
 _TO_ASCII = bytes.maketrans(b"\x00\x01", b"01")
 
 
@@ -86,7 +88,7 @@ def _to_int_set(words, n, d):
     for w in words:
         if len(w) != n or w.count("1") != d:
             raise ValueError(f"word {w!r} is not a length-{n} weight-{d} word")
-        values.add(int(w, 2) if w else 0)
+        values.add(int(_check_word(w), 2) if w else 0)
     return values
 
 

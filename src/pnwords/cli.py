@@ -6,7 +6,7 @@ batches of about 64 KiB, so ``generate | head`` sees its first line only
 after the first batch.  ``verify-gray --stdin`` reads its listing as bytes
 too.  Exit codes: 0 on success, 2 on usage errors (bad words,
 out-of-range parameters, an ``--out`` file that cannot be opened), 1 when
-a verification subcommand finds violations.
+a verification subcommand finds violations, 130 after Ctrl-C.
 """
 
 import argparse
@@ -15,7 +15,7 @@ import time
 from contextlib import nullcontext
 
 from . import analysis, core, pnoracle
-from .bubble import _TO_ASCII, word_str
+from .bubble import word_str
 
 _BATCH_BYTES = 1 << 16
 
@@ -54,7 +54,7 @@ def _cmd_generate(args):
         extend, append = acc.extend, acc.append
 
         def flush():
-            out.write(acc.translate(_TO_ASCII).decode("ascii"))
+            out.write(word_str(acc))
             acc.clear()
 
         def sink(view):
@@ -283,4 +283,8 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+    except KeyboardInterrupt:  # Ctrl-C: the shell's 128 + SIGINT, no traceback
+        code = 130
+    sys.exit(code)

@@ -6,7 +6,8 @@ substring of w contains more 1s than the prefix of the same length,
 i.e. ``max_ones(w) == prefix_weights(w)`` elementwise.
 
 All functions here are pure; returned tables are plain lists indexed by
-length (index 0 holds the empty-prefix value 0).
+length (index 0 holds the empty-prefix value 0).  Everything that reads a
+word as its blocks 1^s 0^t goes through one scanner, ``_blocks``.
 """
 
 from dataclasses import dataclass
@@ -20,10 +21,15 @@ class WordFormatError(ValueError):
 
 def parse_word(text: str) -> str:
     """Validate word text (ASCII 0/1, optional single trailing LF or CRLF)."""
-    word = text[:-2] if text.endswith("\r\n") else text.removesuffix("\n")
-    if word.strip("01"):
-        bad = word.strip("01")[0]
-        raise WordFormatError(f"invalid character {bad!r} in word {word!r}")
+    return _check_word(text[:-2] if text.endswith("\r\n") else text.removesuffix("\n"))
+
+
+def _check_word(word: str) -> str:
+    """word if it is plain 0/1 text (``int(word, 2)`` also takes '0b1',
+    ' 101', '1_0' and '+1'), else WordFormatError."""
+    bad = word.strip("01")
+    if bad:
+        raise WordFormatError(f"invalid character {bad[0]!r} in word {word!r}")
     return word
 
 
@@ -115,17 +121,26 @@ class CriticalPrefix:
         return self.s + self.t
 
 
+def _blocks(w: str):
+    """Yield the maximal blocks 1^s 0^t of w as (s, t) pairs.  Each costs
+    two ``str.find`` calls and moves at least one character on, so the
+    scan ends on any ``str``."""
+    n = len(w)
+    i = 0
+    while i < n:
+        j = w.find("0", i)
+        j = n if j < 0 else j
+        k = w.find("1", j)
+        k = n if k < 0 else k
+        yield j - i, k - j
+        i = k
+
+
 def critical_prefix(w: str) -> CriticalPrefix:
-    """Unique (s, t, gamma) decomposition of a non-empty word."""
+    """Unique (s, t, gamma) decomposition of a non-empty word: its first block."""
     if not w:
         raise ValueError("critical prefix of the empty word is undefined")
-    n = len(w)
-    s = 0
-    while s < n and w[s] == "1":
-        s += 1
-    t = 0
-    while s + t < n and w[s + t] == "0":
-        t += 1
+    s, t = next(_blocks(w))
     return CriticalPrefix(s, t, w[s + t:])
 
 
@@ -135,20 +150,7 @@ def run_length_blocks(w: str) -> list[tuple[int, int]]:
     The first block may have s = 0 and the last may have t = 0; every
     other run length is positive.
     """
-    blocks = []
-    n = len(w)
-    i = 0
-    while i < n:
-        s = 0
-        while i < n and w[i] == "1":
-            s += 1
-            i += 1
-        t = 0
-        while i < n and w[i] == "0":
-            t += 1
-            i += 1
-        blocks.append((s, t))
-    return blocks
+    return list(_blocks(w))
 
 
 def phase1_rejects(w: str, mode: str = "combined") -> bool:
@@ -158,22 +160,20 @@ def phase1_rejects(w: str, mode: str = "combined") -> bool:
     s_i > s_1).  ``combined`` additionally rejects when two adjacent
     blocks fit inside the critical prefix length but carry more 1s:
     s_{i-1} + t_{i-1} + s_i <= s_1 + t_1 and s_{i-1} + s_i > s_1.
-    A True result is definitive (w is not prefix normal); False means
-    the tests were inconclusive.
+    The blocks are read lazily, so the scan stops at the first block that
+    rejects.  A True result is definitive (w is not prefix normal); False
+    means the tests were inconclusive.
     """
     if mode not in ("trivial", "combined"):
         raise ValueError(f"unknown mode {mode!r}")
-    blocks = run_length_blocks(w)
-    if len(blocks) < 2:
-        return False
-    s1, t1 = blocks[0]
-    prev_s, prev_t = s1, t1
-    for s_i, t_i in blocks[1:]:
-        if s_i > s1:
+    blocks = _blocks(w)
+    s1, t1 = prev_s, prev_t = next(blocks, (0, 0))
+    for s, t in blocks:
+        if s > s1:
             return True
-        if mode == "combined" and prev_s + prev_t + s_i <= s1 + t1 and prev_s + s_i > s1:
+        if mode == "combined" and prev_s + prev_t + s <= s1 + t1 and prev_s + s > s1:
             return True
-        prev_s, prev_t = s_i, t_i
+        prev_s, prev_t = s, t
     return False
 
 

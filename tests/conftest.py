@@ -51,6 +51,24 @@ def brute_is_prefix_normal(w):
     return all(f[i] == w[:i].count("1") for i in range(1, len(w) + 1))
 
 
+def brute_run_length_blocks(w):
+    """Maximal blocks 1^s 0^t of w as (s, t) pairs, one character at a time."""
+    blocks = []
+    n = len(w)
+    i = 0
+    while i < n:
+        s = 0
+        while i < n and w[i] == "1":
+            s += 1
+            i += 1
+        t = 0
+        while i < n and w[i] == "0":
+            t += 1
+            i += 1
+        blocks.append((s, t))
+    return blocks
+
+
 def brute_substring_parikh(w):
     """Set of (ones, zeros) pairs realized by substrings of w."""
     n = len(w)
@@ -118,6 +136,9 @@ LENGTH5_CLASSES = {
     "10000": {"10000", "01000", "00100", "00010", "00001"},
     "00000": {"00000"},
 }
+
+# Spellings that int(w, 2) accepts but that are not 0/1 words
+INT_SPELLINGS = ["0b1", " 101", "1_0", "+1"]
 
 PNW_COUNTS = [2, 3, 5, 8, 14, 23, 41, 70, 125, 218, 395, 697]  # n = 1..12
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from pnwords import analysis, core, pnoracle
 
-from conftest import LENGTH5_CLASSES, PNW_COUNTS, all_words
+from conftest import INT_SPELLINGS, LENGTH5_CLASSES, PNW_COUNTS, all_words, brute_run_length_blocks
 
 
 def _pairwise_report(words, cyclic):
@@ -24,7 +24,37 @@ def _pairwise_report(words, cyclic):
     return report
 
 
+def _gray_close_by_cases(p, q):
+    """Gray closeness as a table of weight changes q - p."""
+    dw = q - p
+    if dw == 0:
+        return p <= 2
+    if dw in (1, -1):
+        return min(p, q) <= 1
+    if dw in (2, -2):
+        return min(p, q) == 0
+    return False
+
+
+
 class TestGrayCloseness:
+    def test_max_rule_matches_case_table(self):
+        for p in range(9):
+            for q in range(9):
+                assert analysis.gray_close(p, q) == _gray_close_by_cases(p, q), (p, q)
+
+    @pytest.mark.parametrize("word", INT_SPELLINGS)
+    def test_transposition_counts_rejects_int_spellings(self, word):
+        with pytest.raises(core.WordFormatError):
+            analysis.transposition_counts(word, "0" * len(word))
+        with pytest.raises(core.WordFormatError):
+            analysis.transposition_counts("0" * len(word), word)
+
+    @pytest.mark.parametrize("word", INT_SPELLINGS)
+    def test_verify_gray_rejects_int_spellings(self, word):
+        with pytest.raises(core.WordFormatError):
+            analysis.verify_gray(["0" * len(word), word])
+
     def test_pair_examples(self):
         assert analysis.transposition_counts("1100011", "1110001") == (1, 1)
         assert analysis.transposition_counts("1111000", "1110110") == (1, 2)
@@ -77,6 +107,31 @@ class TestGrayCloseness:
     def test_generator_listings_are_gray(self, n):
         assert analysis.verify_gray(pnoracle.pn_words(n)).ok
         assert analysis.verify_gray(pnoracle.pn_words(n, cyclic=True), cyclic=True).ok
+
+
+EDGE_ARGUMENTS = {  # call -> ValueError message, or the result
+    "generate_all_pn(-1)": (lambda: pnoracle.generate_all_pn(-1), "n must be non-negative"),
+    "generate_all_pn_cyclic(-1)": (lambda: pnoracle.generate_all_pn_cyclic(-1),
+                                   "n must be non-negative"),
+    "simple_generate_pn(-1)": (lambda: pnoracle.simple_generate_pn(-1), "n must be non-negative"),
+    "critical_prefix_sum(-1)": (lambda: analysis.critical_prefix_sum(-1), "n must be non-negative"),
+    "rejection_ratio(0)": (lambda: analysis.rejection_ratio(0), "n must be positive"),
+    "rejection_ratio(31, cap=40)": (lambda: analysis.rejection_ratio(31, cap=40),
+                                    "exhaustive scans support n <= 30"),
+    "pnf_cr_sample(0, 1, 0)": (lambda: analysis.pnf_cr_sample(0, 1, 0), "n must be positive"),
+    "critical_prefix_of_pnf('')": (lambda: analysis.critical_prefix_of_pnf(""),
+                                   "empty word has no critical prefix"),
+    "equivalence_class('')": (lambda: analysis.equivalence_class(""), {""}),
+}
+
+
+@pytest.mark.parametrize("call, outcome", EDGE_ARGUMENTS.values(), ids=EDGE_ARGUMENTS)
+def test_edge_arguments(call, outcome):
+    if isinstance(outcome, str):
+        with pytest.raises(ValueError, match=outcome):
+            call()
+    else:
+        assert call() == outcome
 
 
 class TestCounts:
@@ -149,6 +204,21 @@ class TestPnfCriticalPrefix:
     def test_shortcut_matches_full_pnf(self, n):
         for w in all_words(n):
             assert analysis.critical_prefix_of_pnf(w) == core.critical_prefix(core.pnf(w)).cr, w
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_matches_twin_blocks_of_pnf(self, n):
+        for w in all_words(n):
+            assert analysis.critical_prefix_of_pnf(w) == sum(
+                brute_run_length_blocks(core.pnf(w))[0]), w
+
+    def test_matches_twin_blocks_of_pnf_long(self):
+        rng = random.Random(3141)
+        for _ in range(150):
+            n = rng.randint(1, 1024)
+            w = format(rng.getrandbits(n), f"0{n}b")
+            for u in (w, core.pnf(w)):
+                assert analysis.critical_prefix_of_pnf(u) == sum(
+                    brute_run_length_blocks(core.pnf(u))[0]), u
 
     @given(st.integers(min_value=1, max_value=200), st.integers(min_value=0))
     def test_shortcut_matches_full_pnf_random(self, n, x):

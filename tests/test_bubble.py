@@ -5,7 +5,7 @@ import pytest
 
 from pnwords import bubble, core
 
-from conftest import LENGTH7_COOLEX_LISTING, words_of_weight
+from conftest import INT_SPELLINGS, LENGTH7_COOLEX_LISTING, words_of_weight
 
 
 def oracle_at(word, member=core.is_prefix_normal):
@@ -163,6 +163,12 @@ class TestBubbleCharacterizations:
             bubble.is_first01_bubble(["111"], 4, 3)
         with pytest.raises(ValueError):
             bubble.check_tree_closure(["1100"], 4, 3)
+
+    @pytest.mark.parametrize("word", INT_SPELLINGS)
+    @pytest.mark.parametrize("check", (bubble.is_first01_bubble, bubble.check_tree_closure))
+    def test_rejects_int_spellings(self, check, word):
+        with pytest.raises(core.WordFormatError):
+            check([word], len(word), word.count("1"))
 
     @pytest.mark.parametrize("check", (bubble.is_first01_bubble, bubble.check_tree_closure))
     def test_length_zero(self, check):

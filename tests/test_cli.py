@@ -1,6 +1,9 @@
 import io
+import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -156,6 +159,28 @@ class TestCliSubprocess:
         assert run_cli("generate")[0] == 2
         assert run_cli("nonsense")[0] == 2
 
+    @pytest.mark.parametrize("argv", [["count", "--n", "30"], ["generate", "--n", "30"]],
+                             ids=["pooled-count", "serial-generate"])
+    def test_ctrl_c_exits_130_without_traceback(self, argv):
+        script = ("from pnwords import cli, pnoracle\n"
+                  "pnoracle._cores = lambda: 2\n"  # count walks in a pool even on one core
+                  "cli.main()\n")
+        proc = subprocess.Popen([sys.executable, "-c", script, *argv], start_new_session=True,
+                                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        try:
+            time.sleep(1.5)
+            os.killpg(proc.pid, signal.SIGINT)  # Ctrl-C signals the whole group
+            _, err = proc.communicate(timeout=30)
+            assert proc.returncode == 130
+            assert b"Traceback" not in err
+            with pytest.raises(ProcessLookupError):  # no worker outlives the parent
+                os.killpg(proc.pid, 0)
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+
 
 class TestCliInProcess:
     def test_generate_weight_and_out(self, tmp_path, capsys):
@@ -288,6 +313,20 @@ class TestCliInProcess:
 
     def test_bench_bad_range(self, capsys):
         assert cli.run(["bench", "--n-min", "9", "--n-max", "8"]) == 2
+
+    @pytest.mark.parametrize("argv, code", [
+        ("count --n 0", 2),
+        ("pnf 011", 0),
+        ("stats cr --n 21", 2),
+        ("stats deficit --n 0", 2),
+        ("stats pnf-cr --n 4 --samples 0", 2),
+    ])
+    def test_exit_codes(self, argv, code, capsys):
+        # the codes no other test checks: with them every command is run
+        # for each code it can return (0, 2, and 1 for verify-gray)
+        assert cli.run(argv.split()) == code
+        out, err = capsys.readouterr()
+        assert (out == "", err != "") == (code == 2, code == 2)
 
     def test_help_exits_zero(self):
         assert cli.run(["--help"]) == 0

@@ -13,6 +13,7 @@ from conftest import (
     brute_is_prefix_normal,
     brute_max_ones,
     brute_min_ones,
+    brute_run_length_blocks,
     brute_substring_parikh,
 )
 
@@ -162,6 +163,52 @@ class TestRunLengthBlocks:
                 assert s >= 1
             if i < len(blocks) - 1:
                 assert t >= 1
+
+
+def twin_phase1_rejects(w, mode):
+    """The linear phase's tests, on the per-character twin's blocks."""
+    blocks = brute_run_length_blocks(w)
+    s1, t1 = blocks[0] if blocks else (0, 0)
+    return any(s > s1 or (mode == "combined" and ps + pt + s <= s1 + t1 and ps + s > s1)
+               for (ps, pt), (s, t) in zip(blocks, blocks[1:]))
+
+
+def twin_check_block_readers(w):
+    blocks = brute_run_length_blocks(w)
+    assert core.run_length_blocks(w) == blocks, w
+    for mode in ("trivial", "combined"):
+        assert core.phase1_rejects(w, mode) == twin_phase1_rejects(w, mode), (w, mode)
+    if w:
+        s, t = blocks[0]
+        assert core.critical_prefix(w) == core.CriticalPrefix(s, t, w[s + t:]), w
+
+
+class TestBlockScannerTwin:
+    @pytest.mark.parametrize("n", range(0, 15))
+    def test_every_short_word(self, n):
+        for w in all_words(n):
+            twin_check_block_readers(w)
+
+    def test_seeded_long_words_and_their_pnf(self):
+        rng = random.Random(2718)
+        for _ in range(150):
+            n = rng.randint(1, 1024)
+            w = format(rng.getrandbits(n), f"0{n}b")
+            twin_check_block_readers(w)
+            twin_check_block_readers(core.pnf(w))
+
+    def test_stray_character_ends_the_scan(self):
+        # a per-character scan stalls on "a" and grows its block list until
+        # memory runs out; under a 400 MB address-space cap that fails fast
+        script = ("import resource\n"
+                  "cap = 400 << 20\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+                  "from pnwords import core\n"
+                  "core.run_length_blocks('10a')\n"
+                  "core.member_two_phase('10a')\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestTwoPhaseMember:
