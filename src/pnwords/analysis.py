@@ -75,6 +75,7 @@ class GrayChecker:
         self._first = None
         self._prev = None  # (word, int value) of the last word fed
         self._index = 0
+        self._wrapped = False
 
     def feed(self, word: str) -> None:
         """Check word against the last word fed.  Callers must pass 0/1
@@ -96,8 +97,11 @@ class GrayChecker:
         self._index += 1
 
     def finish(self) -> GrayReport:
-        if self.cyclic and self._index > 1:
+        """The report; a later call returns it again without a second
+        wrap-around pair."""
+        if self.cyclic and self._index > 1 and not self._wrapped:
             self.feed(self._first)  # the wrap-around pair (last, first)
+            self._wrapped = True
         self.report.pairs = max(self._index - 1, 0)
         return self.report
 
@@ -265,7 +269,7 @@ def equivalence_class(w: str, *, cap: int = DEFAULT_EXHAUSTIVE_CAP) -> set[str]:
     members = set()
     for x in range(1 << n):
         v = format(x, f"0{n}b")
-        if core.pnf(v) == w:
+        if core._pnf(v) == w:
             members.add(v)
     return members
 

@@ -3,8 +3,11 @@ Gray code verification, statistics and benchmarking.
 
 Words stream to stdout one per line, collected as bytes and written in
 batches of about 64 KiB, so ``generate | head`` sees its first line only
-after the first batch.  ``verify-gray --stdin`` reads its listing as bytes
-too.  Exit codes: 0 on success, 2 on usage errors (bad words,
+after the first batch.  A full listing with 20 <= n <= 24 is rendered one
+weight class per forked worker, on every usable core, and written in
+listing order in the same 64 KiB slices; ``--weight``, ``--algo simple``
+and other n stream from one process.  ``verify-gray --stdin`` reads its
+listing as bytes too.  Exit codes: 0 on success, 2 on usage errors (bad words,
 out-of-range parameters, an ``--out`` file that cannot be opened), 1 when
 a verification subcommand finds violations, 130 after Ctrl-C.
 """
@@ -63,14 +66,20 @@ def _cmd_generate(args):
             if len(acc) >= _BATCH_BYTES:
                 flush()
 
+        def write(text):  # a class from the pool; slices keep encoded copies small
+            for i in range(0, len(text), _BATCH_BYTES):
+                out.write(text[i:i + _BATCH_BYTES])
+
         if args.algo == "simple":
             pnoracle.simple_generate_pn(args.n, sink)
-        elif args.cyclic:
-            pnoracle.generate_all_pn_cyclic(args.n, sink)
         elif args.weight is not None:
             pnoracle.gen_bubble_pn(args.n, args.weight, sink, order=args.order)
-        else:
-            pnoracle.generate_all_pn(args.n, sink, order=args.order)
+        elif not pnoracle._render_pooled(
+                args.n, pnoracle._classes(args.n, args.order, args.cyclic), write):
+            if args.cyclic:
+                pnoracle.generate_all_pn_cyclic(args.n, sink)
+            else:
+                pnoracle.generate_all_pn(args.n, sink, order=args.order)
         flush()
     return 0
 

@@ -6,7 +6,9 @@ substring of w contains more 1s than the prefix of the same length,
 i.e. ``max_ones(w) == prefix_weights(w)`` elementwise.
 
 All functions here are pure; returned tables are plain lists indexed by
-length (index 0 holds the empty-prefix value 0).  Everything that reads a
+length (index 0 holds the empty-prefix value 0).  The public tables and
+testers check their word once and raise ``WordFormatError`` for text that
+is not 0/1; the helpers they share take it as given.  Everything that reads a
 word as its blocks 1^s 0^t goes through one scanner, ``_blocks``.
 """
 
@@ -82,24 +84,36 @@ def _max_marks(n: int, pos: list[int]) -> list[int]:
 
 def max_ones(w: str) -> list[int]:
     """f[i] = maximum number of 1s over all length-i substrings of w."""
-    return _max_marks(len(w), positions(w))
+    return _max_marks(len(w), positions(_check_word(w)))
 
 
 def min_ones(w: str) -> list[int]:
     """g[i] = minimum number of 1s over all length-i substrings of w."""
+    return _min_ones(_check_word(w))
+
+
+def _min_ones(w):
     return list(map(sub, range(len(w) + 1), _max_marks(len(w), positions(w, "0"))))
 
 
 def pnf(w: str) -> str:
     """Prefix normal form: the unique prefix normal word with the same
     max-ones table as w (first differences of ``max_ones(w)``)."""
-    f = max_ones(w)
+    return _pnf(_check_word(w))
+
+
+def _pnf(w):
+    f = _max_marks(len(w), positions(w))
     return "".join(map("01".__getitem__, map(sub, f[1:], f)))
 
 
 def is_prefix_normal(w: str) -> bool:
     """Membership test: for every j, the prefix up to the j-th 1 must be a
     shortest window holding j ones.  Stops at the first j that fails."""
+    return _is_prefix_normal(_check_word(w))
+
+
+def _is_prefix_normal(w):
     pos = positions(w)
     return all(shortest_window(pos, j) == pos[j - 1] + 1 for j in range(1, len(pos) + 1))
 
@@ -140,7 +154,7 @@ def critical_prefix(w: str) -> CriticalPrefix:
     """Unique (s, t, gamma) decomposition of a non-empty word: its first block."""
     if not w:
         raise ValueError("critical prefix of the empty word is undefined")
-    s, t = next(_blocks(w))
+    s, t = next(_blocks(_check_word(w)))
     return CriticalPrefix(s, t, w[s + t:])
 
 
@@ -150,7 +164,7 @@ def run_length_blocks(w: str) -> list[tuple[int, int]]:
     The first block may have s = 0 and the last may have t = 0; every
     other run length is positive.
     """
-    return list(_blocks(w))
+    return list(_blocks(_check_word(w)))
 
 
 def phase1_rejects(w: str, mode: str = "combined") -> bool:
@@ -180,9 +194,9 @@ def phase1_rejects(w: str, mode: str = "combined") -> bool:
 def member_two_phase(w: str) -> bool:
     """Two-phase membership test: block rejection first, the full test
     for the survivors.  Always agrees with ``is_prefix_normal``."""
-    if phase1_rejects(w, "combined"):
+    if phase1_rejects(_check_word(w), "combined"):
         return False
-    return is_prefix_normal(w)
+    return _is_prefix_normal(w)
 
 
 def is_extension_critical(w: str) -> bool:
@@ -221,7 +235,7 @@ class BjpmIndex:
 
     @classmethod
     def from_word(cls, w: str) -> "BjpmIndex":
-        return cls(len(w), tuple(max_ones(w)), tuple(min_ones(w)))
+        return cls(len(w), tuple(max_ones(w)), tuple(_min_ones(w)))  # max_ones checks w
 
     def query(self, x: int, y: int) -> bool:
         if x < 0 or y < 0:

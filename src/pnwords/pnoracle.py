@@ -24,10 +24,14 @@ the state before it was entered.
 The weight classes share no state, so a run that only counts (no
 ``visit`` sink) walks them in a pool of forked processes once n is large
 enough for the pool to pay, one per usable core, and sums the counters.
+``_render_pooled`` walks them in the same pool for ``generate``: each
+worker renders one class as text, and the parent writes the classes in
+listing order.  A library call with a ``visit`` sink stays serial.
 """
 
 import os
 import sys
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -182,10 +186,16 @@ def _gen_weight(n: int, d: int, visit, order: str, validate: bool, bound=None):
                     f"state not restored after child {i} of {word_str(word)}")
 
 
-# Smallest n at which a counting run walks its weight classes in a process
-# pool.  In a fresh process the pool's import and start-up cost about 60 ms,
-# which at smaller n is more than the second core saves.
+# Smallest n at which a run walks its weight classes in a process pool.  In
+# a fresh process the pool's import and start-up cost about 60 ms, which at
+# smaller n is more than the second core saves.
 _POOL_MIN_N = 20
+
+# Largest n that ``_render_pooled`` lists: the parent holds rendered classes,
+# and the whole n = 24 listing is 26 MB (1,043,212 words of 25 bytes).  Above
+# it the largest class alone is about 15% of a listing that grows 1.8-1.9x
+# per n, so the serial 64 KiB stream takes over.
+_RENDER_MAX_N = 24
 
 
 def _cores() -> int:
@@ -196,11 +206,10 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
-def _pool_weights(n, weight_orders, validate, workers):
-    """Counters of each class, walked in a process pool; None when no pool
-    can be started.  Classes go out largest first, so the last to finish
-    are small and the workers end together.  The workers ignore SIGINT:
-    Ctrl-C reaches the parent, whose ``with`` exit terminates them.
+def _fork_pool(workers):
+    """A ``multiprocessing.Pool`` of forked workers that ignore SIGINT, or
+    None when no pool can be started.  Ctrl-C reaches the parent, whose
+    ``with`` exit terminates them.
 
     The workers are forked whatever the default start method is: spawn
     and forkserver workers import the caller's main module again, which
@@ -216,12 +225,21 @@ def _pool_weights(n, weight_orders, validate, workers):
     if (sys.platform == "darwin" or threading.active_count() > 1
             or multiprocessing.current_process().daemon):
         return None
-    classes = sorted(weight_orders, key=lambda dw: abs(2 * dw[0] - n))
     try:
         context = multiprocessing.get_context("fork")
-        pool = context.Pool(workers, signal.signal, (signal.SIGINT, signal.SIG_IGN))
+        return context.Pool(workers, signal.signal, (signal.SIGINT, signal.SIG_IGN))
     except (ValueError, OSError, ImportError):  # no fork, no semaphores, or no sem_open
         return None
+
+
+def _pool_weights(n, weight_orders, validate, workers):
+    """Counters of each class, walked in a process pool; None when no pool
+    can be started.  Classes go out largest first, so the last to finish
+    are small and the workers end together."""
+    pool = _fork_pool(workers)
+    if pool is None:
+        return None
+    classes = sorted(weight_orders, key=lambda dw: abs(2 * dw[0] - n))
     with pool:
         return pool.starmap(_gen_weight, [(n, d, None, order, validate) for d, order in classes],
                             chunksize=1)
@@ -235,6 +253,54 @@ def _run_weights(n, weight_orders, visit, validate):
     if results is None:
         results = [_gen_weight(n, d, visit, order, validate) for d, order in weight_orders]
     return GenerationStats(*map(sum, zip(*results)))
+
+
+def _render_weight(n, d, order):
+    """The listing of one class as text, one word per line (a pool task)."""
+    acc = bytearray()
+    extend, append = acc.extend, acc.append
+
+    def sink(view):
+        extend(view)
+        append(10)  # "\n"
+
+    _gen_weight(n, d, sink, order, False)
+    return word_str(acc)
+
+
+def _render_pooled(n, weight_orders, write) -> bool:
+    """Render the classes in a process pool and pass each class's text to
+    ``write`` in listing order; False, with nothing written, when the run
+    stays serial (n outside ``_POOL_MIN_N.._RENDER_MAX_N``, one usable core
+    or class, or no pool).  At most ``workers`` classes are requested ahead
+    of the one being written, so the parent holds few rendered classes."""
+    workers = min(_cores(), len(weight_orders))
+    if not (_POOL_MIN_N <= n <= _RENDER_MAX_N and workers > 1):
+        return False  # before the multiprocessing import
+    pool = _fork_pool(workers)
+    if pool is None:
+        return False
+    pending = deque()
+    with pool:
+        for d, order in weight_orders:
+            pending.append(pool.apply_async(_render_weight, (n, d, order)))
+            if len(pending) > workers:
+                write(pending.popleft().get())
+        while pending:
+            write(pending.popleft().get())
+    return True
+
+
+def _classes(n, order="coolex", cyclic=False):
+    """The (weight, order) classes of the listing of all length-n prefix
+    normal words, in listing order; the cyclic listing fixes its own orders."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    if cyclic:
+        return ([(d, "reverse") for d in range(1, n + 1, 2)]
+                + [(d, "coolex") for d in range(n - (n % 2), -1, -2)])
+    _check_order(order)
+    return [(d, order) for d in range(n + 1)]
 
 
 def gen_bubble_pn(n: int, d: int, visit=None, *, order: str = "coolex",
@@ -252,10 +318,7 @@ def generate_all_pn(n: int, visit=None, *, order: str = "coolex",
     two swaps within a weight class and by a swap plus a bit flip across
     the weight boundary.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    _check_order(order)
-    return _run_weights(n, [(d, order) for d in range(n + 1)], visit, validate)
+    return _run_weights(n, _classes(n, order), visit, validate)
 
 
 def generate_all_pn_cyclic(n: int, visit=None, *,
@@ -268,11 +331,7 @@ def generate_all_pn_cyclic(n: int, visit=None, *,
     junction and the wrap-around pair then differ by at most two flips,
     or a swap and a flip.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    weights = [(d, "reverse") for d in range(1, n + 1, 2)]
-    weights += [(d, "coolex") for d in range(n - (n % 2), -1, -2)]
-    return _run_weights(n, weights, visit, validate)
+    return _run_weights(n, _classes(n, cyclic=True), visit, validate)
 
 
 def simple_generate_pn(n: int, visit=None) -> GenerationStats:

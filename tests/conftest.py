@@ -5,9 +5,14 @@ The brute-force helpers deliberately avoid the library's own shortcuts
 ground truth for small inputs.
 """
 
+import multiprocessing
+import sys
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
+
+from pnwords import pnoracle
 
 
 def all_words(n):
@@ -146,3 +151,30 @@ PNW_COUNTS = [2, 3, 5, 8, 14, 23, 41, 70, 125, 218, 395, 697]  # n = 1..12
 @pytest.fixture(scope="session")
 def length7_listing():
     return list(LENGTH7_COOLEX_LISTING)
+
+
+needs_fork_pool = pytest.mark.skipif(
+    sys.platform == "darwin" or "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the weight pool forks its workers; elsewhere runs stay serial")
+
+
+@pytest.fixture
+def pooled(monkeypatch):
+    """Counting runs of every length, and listings up to the render limit,
+    take the process pool, with two workers even on one core; returns the
+    sizes of the pools made."""
+    made = []
+    real_get_context = multiprocessing.get_context
+
+    def recording(method):
+        context = real_get_context(method)
+
+        def pool(workers, *args):
+            made.append(workers)
+            return context.Pool(workers, *args)
+        return SimpleNamespace(Pool=pool)
+
+    monkeypatch.setattr(multiprocessing, "get_context", recording)
+    monkeypatch.setattr(pnoracle, "_POOL_MIN_N", 0)
+    monkeypatch.setattr(pnoracle, "_cores", lambda: 2)
+    return made

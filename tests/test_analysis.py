@@ -1,3 +1,4 @@
+import copy
 import os
 import random
 from fractions import Fraction
@@ -82,6 +83,17 @@ class TestGrayCloseness:
         assert ok.ok and ok.pairs == 3
         bad = analysis.verify_gray(["0000", "1100", "1111"], cyclic=True)
         assert not bad.ok  # wrap pair 1111 -> 0000 flips four bits
+
+    @pytest.mark.parametrize("cyclic", [False, True])
+    @pytest.mark.parametrize("words", [[], ["0000"], ["0000", "1100", "1111"]])
+    def test_finish_twice_gives_the_same_report(self, words, cyclic):
+        checker = analysis.GrayChecker(cyclic=cyclic)
+        for w in words:
+            checker.feed(w)
+        first = copy.deepcopy(checker.finish())
+        assert checker.finish() == first == analysis.verify_gray(words, cyclic=cyclic)
+        if cyclic and len(words) == 3:
+            assert first.pairs == 3 and len(first.violations) == 1
 
     @pytest.mark.parametrize("cyclic", [False, True])
     @pytest.mark.parametrize("seed", range(20))

@@ -1,4 +1,5 @@
 import io
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 
 from pnwords import bubble, cli, pnoracle
 
-from conftest import LENGTH7_COOLEX_LISTING
+from conftest import LENGTH7_COOLEX_LISTING, needs_fork_pool
 
 
 def run_cli(*args, stdin=None):
@@ -159,14 +160,17 @@ class TestCliSubprocess:
         assert run_cli("generate")[0] == 2
         assert run_cli("nonsense")[0] == 2
 
-    @pytest.mark.parametrize("argv", [["count", "--n", "30"], ["generate", "--n", "30"]],
-                             ids=["pooled-count", "serial-generate"])
+    @pytest.mark.parametrize("argv", [["count", "--n", "30"], ["generate", "--n", "30"],
+                                      ["generate", "--n", "24"]],
+                             ids=["pooled-count", "serial-generate", "pooled-generate"])
     def test_ctrl_c_exits_130_without_traceback(self, argv):
         script = ("from pnwords import cli, pnoracle\n"
-                  "pnoracle._cores = lambda: 2\n"  # count walks in a pool even on one core
+                  "pnoracle._cores = lambda: 2\n"  # count and n = 24 use a pool even on one core
                   "cli.main()\n")
+        # stdout is read only after the signal, so a listing that outruns the
+        # wait stops in a write, mid-listing, once the pipe is full
         proc = subprocess.Popen([sys.executable, "-c", script, *argv], start_new_session=True,
-                                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         try:
             time.sleep(1.5)
             os.killpg(proc.pid, signal.SIGINT)  # Ctrl-C signals the whole group
@@ -180,6 +184,69 @@ class TestCliSubprocess:
                 os.killpg(proc.pid, signal.SIGKILL)
             except ProcessLookupError:
                 pass
+
+
+@needs_fork_pool
+class TestPooledGenerate:
+    """A full listing with _POOL_MIN_N <= n <= _RENDER_MAX_N is rendered one
+    weight class per worker and written in listing order."""
+
+    @pytest.mark.parametrize("options, listing", [
+        ([], lambda sink: pnoracle.generate_all_pn(16, sink)),
+        (["--cyclic"], lambda sink: pnoracle.generate_all_pn_cyclic(16, sink)),
+        (["--order", "visit-first"],
+         lambda sink: pnoracle.generate_all_pn(16, sink, order="visit-first")),
+    ], ids=["coolex", "cyclic", "visit-first"])
+    def test_byte_identical_to_listing(self, pooled, options, listing, tmp_path, monkeypatch):
+        sink = bubble.Collector()
+        listing(sink)
+        expected = "".join(w + "\n" for w in sink.words)
+        target = tmp_path / "words.txt"
+        assert cli.run(["generate", "--n", "16", *options, "--out", str(target)]) == 0
+        assert target.read_bytes() == expected.encode()
+        out = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert cli.run(["generate", "--n", "16", *options]) == 0
+        assert out.getvalue() == expected
+        assert pooled == [2, 2]
+
+    @pytest.mark.parametrize("options", [["--weight", "8"], ["--algo", "simple"]])
+    def test_single_class_and_simple_start_no_pool(self, pooled, options, capsys):
+        assert cli.run(["generate", "--n", "16", *options]) == 0
+        assert capsys.readouterr().out
+        assert pooled == []
+
+    def test_n_outside_the_range_starts_no_pool(self, pooled, monkeypatch, capsys):
+        monkeypatch.setattr(pnoracle, "_POOL_MIN_N", 9)
+        calls = []
+        monkeypatch.setattr(pnoracle, "generate_all_pn",
+                            lambda n, sink, order: calls.append(n))  # n = 25 is 50 MB
+        assert cli.run(["generate", "--n", "25"]) == 0
+        assert cli.run(["generate", "--n", "8"]) == 0
+        assert calls == [25, 8] and pooled == []
+
+    def test_n_outside_the_range_loads_no_multiprocessing(self):
+        script = ("import sys\n"
+                  "from pnwords import cli, pnoracle\n"
+                  "pnoracle._cores = lambda: 2\n"
+                  "pnoracle.generate_all_pn = lambda n, sink, order: None\n"
+                  "cli.run(['generate', '--n', '25'])\n"
+                  "cli.run(['generate', '--n', '8'])\n"
+                  "print('multiprocessing' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+    def test_pipe_closing_mid_listing_exits_0_and_ends_workers(self, pooled, monkeypatch,
+                                                               capsys):
+        # n = 16 lists 7,568 words of 17 bytes; the reader leaves after 1,000
+        out = ClosingPipe(1000 * 17)
+        monkeypatch.setattr(sys, "stdout", out)
+        assert cli.run(["generate", "--n", "16"]) == 0
+        assert pooled == [2] and multiprocessing.active_children() == []
+        written = out.getvalue()
+        listing = "".join(w + "\n" for w in pnoracle.pn_words(16))
+        assert written and len(written) < len(listing) and listing.startswith(written)
+        assert capsys.readouterr().err == ""
 
 
 class TestCliInProcess:

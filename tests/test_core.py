@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from pnwords import core
 
 from conftest import (
+    INT_SPELLINGS,
     all_words,
     brute_is_prefix_normal,
     brute_max_ones,
@@ -33,6 +34,25 @@ class TestParseWord:
     def test_rejects_other_characters(self, bad):
         with pytest.raises(core.WordFormatError):
             core.parse_word(bad)
+
+
+CHECKED_ENTRY_POINTS = {
+    "max_ones": core.max_ones,
+    "min_ones": core.min_ones,
+    "pnf": core.pnf,
+    "is_prefix_normal": core.is_prefix_normal,
+    "member_two_phase": core.member_two_phase,
+    "critical_prefix": core.critical_prefix,
+    "run_length_blocks": core.run_length_blocks,
+    "BjpmIndex.from_word": core.BjpmIndex.from_word,
+}
+
+
+@pytest.mark.parametrize("bad", ["2", "10a", "1a1", "a", "1 0", "10\n", *INT_SPELLINGS])
+@pytest.mark.parametrize("name", CHECKED_ENTRY_POINTS)
+def test_entry_points_reject_text_that_is_not_a_word(name, bad):
+    with pytest.raises(core.WordFormatError, match="invalid character"):
+        CHECKED_ENTRY_POINTS[name](bad)
 
 
 class TestPrefixWeights:
@@ -199,13 +219,15 @@ class TestBlockScannerTwin:
 
     def test_stray_character_ends_the_scan(self):
         # a per-character scan stalls on "a" and grows its block list until
-        # memory runs out; under a 400 MB address-space cap that fails fast
+        # memory runs out; under a 400 MB address-space cap that fails fast.
+        # The checked entry points refuse "10a" first, so the scanner and
+        # the unchecked linear phase are driven directly.
         script = ("import resource\n"
                   "cap = 400 << 20\n"
                   "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
                   "from pnwords import core\n"
-                  "core.run_length_blocks('10a')\n"
-                  "core.member_two_phase('10a')\n")
+                  "list(core._blocks('10a'))\n"
+                  "core.phase1_rejects('10a')\n")
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr

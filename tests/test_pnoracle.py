@@ -19,6 +19,7 @@ from conftest import (
     all_words,
     brute_is_prefix_normal,
     coolex_reference,
+    needs_fork_pool,
     words_of_weight,
 )
 
@@ -62,27 +63,6 @@ def _broken_walk(n, d, visit, order, validate):
 
 def _count_in_worker(n):
     return counters(pnoracle.generate_all_pn(n))
-
-
-@pytest.fixture
-def pooled(monkeypatch):
-    """Counting runs of every length take the process pool, with two
-    workers even on one core; returns the sizes of the pools made."""
-    made = []
-    real_get_context = multiprocessing.get_context
-
-    def recording(method):
-        context = real_get_context(method)
-
-        def pool(workers, *args):
-            made.append(workers)
-            return context.Pool(workers, *args)
-        return SimpleNamespace(Pool=pool)
-
-    monkeypatch.setattr(multiprocessing, "get_context", recording)
-    monkeypatch.setattr(pnoracle, "_POOL_MIN_N", 0)
-    monkeypatch.setattr(pnoracle, "_cores", lambda: 2)
-    return made
 
 
 def weight_blocks(words):
@@ -315,8 +295,7 @@ class TestStatsAndInstrumentation:
         assert stats.reads_per_word > 0
 
 
-@pytest.mark.skipif(sys.platform == "darwin" or "fork" not in multiprocessing.get_all_start_methods(),
-                    reason="the weight pool forks its workers; elsewhere runs stay serial")
+@needs_fork_pool
 class TestWeightPool:
     """A counting run (no sink) walks its weight classes in a process pool
     and sums their counters, which must equal the serial run's."""
