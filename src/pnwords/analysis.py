@@ -232,7 +232,7 @@ def critical_prefix_of_pnf(w: str) -> int:
     n = len(w)
     if n == 0:
         raise ValueError("empty word has no critical prefix")
-    ones = core.positions(w)
+    ones = core.positions(core._check_word(w))
     longest = max(map(len, w.split("0")))
     if len(ones) == longest:  # covers the all-zero word as well
         return n

@@ -3,9 +3,10 @@ Gray code verification, statistics and benchmarking.
 
 Words stream to stdout one per line, collected as bytes and written in
 batches of about 64 KiB, so ``generate | head`` sees its first line only
-after the first batch.  A full listing with 20 <= n <= 24 is rendered one
-weight class per forked worker, on every usable core, and written in
-listing order in the same 64 KiB slices; ``--weight``, ``--algo simple``
+after the first batch.  Every listing but ``--algo simple`` makes one
+``pnoracle._run_weights`` call, which renders a full listing with
+20 <= n <= 24 one weight class per forked worker, on every usable core,
+and writes it in listing order in the same 64 KiB slices; ``--weight``
 and other n stream from one process.  ``verify-gray --stdin`` reads its
 listing as bytes too.  Exit codes: 0 on success, 2 on usage errors (bad words,
 out-of-range parameters, an ``--out`` file that cannot be opened), 1 when
@@ -72,14 +73,10 @@ def _cmd_generate(args):
 
         if args.algo == "simple":
             pnoracle.simple_generate_pn(args.n, sink)
-        elif args.weight is not None:
-            pnoracle.gen_bubble_pn(args.n, args.weight, sink, order=args.order)
-        elif not pnoracle._render_pooled(
-                args.n, pnoracle._classes(args.n, args.order, args.cyclic), write):
-            if args.cyclic:
-                pnoracle.generate_all_pn_cyclic(args.n, sink)
-            else:
-                pnoracle.generate_all_pn(args.n, sink, order=args.order)
+        else:
+            classes = ([(args.weight, args.order)] if args.weight is not None
+                       else pnoracle._classes(args.n, args.order, args.cyclic))
+            pnoracle._run_weights(args.n, classes, sink, False, write)
         flush()
     return 0
 

@@ -37,12 +37,12 @@ def _check_word(word: str) -> str:
 
 def weight(w: str) -> int:
     """Number of 1s in w."""
-    return w.count("1")
+    return _check_word(w).count("1")
 
 
 def complement(w: str) -> str:
     """Exchange 0s and 1s."""
-    return w.translate(_COMPLEMENT)
+    return _check_word(w).translate(_COMPLEMENT)
 
 
 _COMPLEMENT = str.maketrans("01", "10")
@@ -52,7 +52,7 @@ def prefix_weights(w: str) -> list[int]:
     """p[i] = number of 1s in the length-i prefix of w, for i = 0..n."""
     p = [0] * (len(w) + 1)
     acc = 0
-    for i, c in enumerate(w, 1):
+    for i, c in enumerate(_check_word(w), 1):
         if c == "1":
             acc += 1
         p[i] = acc
@@ -180,7 +180,7 @@ def phase1_rejects(w: str, mode: str = "combined") -> bool:
     """
     if mode not in ("trivial", "combined"):
         raise ValueError(f"unknown mode {mode!r}")
-    blocks = _blocks(w)
+    blocks = _blocks(_check_word(w))
     s1, t1 = prev_s, prev_t = next(blocks, (0, 0))
     for s, t in blocks:
         if s > s1:
@@ -194,7 +194,7 @@ def phase1_rejects(w: str, mode: str = "combined") -> bool:
 def member_two_phase(w: str) -> bool:
     """Two-phase membership test: block rejection first, the full test
     for the survivors.  Always agrees with ``is_prefix_normal``."""
-    if phase1_rejects(_check_word(w), "combined"):
+    if phase1_rejects(w, "combined"):  # checks w
         return False
     return _is_prefix_normal(w)
 
@@ -205,9 +205,10 @@ def is_extension_critical(w: str) -> bool:
     w1 is prefix normal iff every proper suffix u of w (the empty suffix
     included) has fewer 1s than the prefix of length |u| + 1.
     """
-    if not is_prefix_normal(w):
+    p = prefix_weights(w)  # checks w
+    if not _is_prefix_normal(w):
         raise ValueError(f"is_extension_critical requires a prefix normal word, got {w!r}")
-    return extension_critical(prefix_weights(w), len(w))
+    return extension_critical(p, len(w))
 
 
 def extension_critical(p: list[int], k: int) -> bool:

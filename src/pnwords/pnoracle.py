@@ -21,12 +21,12 @@ inline.  ``validate=True`` checks them against independent references:
 through ``bubble.naive_oracle``, and each return from a child against
 the state before it was entered.
 
-The weight classes share no state, so a run that only counts (no
-``visit`` sink) walks them in a pool of forked processes once n is large
-enough for the pool to pay, one per usable core, and sums the counters.
-``_render_pooled`` walks them in the same pool for ``generate``: each
-worker renders one class as text, and the parent writes the classes in
-listing order.  A library call with a ``visit`` sink stays serial.
+The weight classes share no state, so once n is large enough for it to
+pay, ``_run_weights`` walks them in a pool of forked processes, one per
+usable core, in listing order with one class per worker of lookahead.
+A counting run (no ``visit`` sink) sums their counters; ``generate``
+also gets each class's text, rendered by its worker, in listing order.
+A library call with a ``visit`` sink stays serial.
 """
 
 import os
@@ -191,7 +191,7 @@ def _gen_weight(n: int, d: int, visit, order: str, validate: bool, bound=None):
 # smaller n is more than the second core saves.
 _POOL_MIN_N = 20
 
-# Largest n that ``_render_pooled`` lists: the parent holds rendered classes,
+# Largest n that a pooled listing renders: the parent holds rendered classes,
 # and the whole n = 24 listing is 26 MB (1,043,212 words of 25 bytes).  Above
 # it the largest class alone is about 15% of a listing that grows 1.8-1.9x
 # per n, so the serial 64 KiB stream takes over.
@@ -232,31 +232,9 @@ def _fork_pool(workers):
         return None
 
 
-def _pool_weights(n, weight_orders, validate, workers):
-    """Counters of each class, walked in a process pool; None when no pool
-    can be started.  Classes go out largest first, so the last to finish
-    are small and the workers end together."""
-    pool = _fork_pool(workers)
-    if pool is None:
-        return None
-    classes = sorted(weight_orders, key=lambda dw: abs(2 * dw[0] - n))
-    with pool:
-        return pool.starmap(_gen_weight, [(n, d, None, order, validate) for d, order in classes],
-                            chunksize=1)
-
-
-def _run_weights(n, weight_orders, visit, validate):
-    workers = min(_cores(), len(weight_orders))
-    results = None
-    if visit is None and n >= _POOL_MIN_N and workers > 1:
-        results = _pool_weights(n, weight_orders, validate, workers)
-    if results is None:
-        results = [_gen_weight(n, d, visit, order, validate) for d, order in weight_orders]
-    return GenerationStats(*map(sum, zip(*results)))
-
-
-def _render_weight(n, d, order):
-    """The listing of one class as text, one word per line (a pool task)."""
+def _walk_class(n, d, order, validate, render):
+    """One pool task: the counters of the weight-d class and, when render
+    is set, its listing as text, one word per line."""
     acc = bytearray()
     extend, append = acc.extend, acc.append
 
@@ -264,31 +242,42 @@ def _render_weight(n, d, order):
         extend(view)
         append(10)  # "\n"
 
-    _gen_weight(n, d, sink, order, False)
-    return word_str(acc)
+    counts = _gen_weight(n, d, sink if render else None, order, validate)
+    return counts, word_str(acc) if render else None
 
 
-def _render_pooled(n, weight_orders, write) -> bool:
-    """Render the classes in a process pool and pass each class's text to
-    ``write`` in listing order; False, with nothing written, when the run
-    stays serial (n outside ``_POOL_MIN_N.._RENDER_MAX_N``, one usable core
-    or class, or no pool).  At most ``workers`` classes are requested ahead
-    of the one being written, so the parent holds few rendered classes."""
-    workers = min(_cores(), len(weight_orders))
-    if not (_POOL_MIN_N <= n <= _RENDER_MAX_N and workers > 1):
-        return False  # before the multiprocessing import
-    pool = _fork_pool(workers)
+def _run_weights(n, classes, visit, validate, write=None):
+    """Walk the (weight, order) classes and sum their counters.
+
+    In a process pool when n >= ``_POOL_MIN_N``, more than one core and
+    class are usable, and the run either has no ``visit`` sink (it only
+    counts) or renders: a ``write`` is given and n <= ``_RENDER_MAX_N``.
+    Classes are submitted in listing order with at most ``workers`` held
+    ahead of the one being consumed, so a rendering parent holds few
+    classes; each class's text goes to ``write`` in listing order.
+    Otherwise, or when no pool can be started, the classes are walked
+    serially into ``visit``."""
+    workers = min(_cores(), len(classes))
+    pool = None
+    if (n >= _POOL_MIN_N and workers > 1  # checked before the multiprocessing import
+            and (visit is None or write is not None and n <= _RENDER_MAX_N)):
+        pool = _fork_pool(workers)
     if pool is None:
-        return False
-    pending = deque()
-    with pool:
-        for d, order in weight_orders:
-            pending.append(pool.apply_async(_render_weight, (n, d, order)))
-            if len(pending) > workers:
-                write(pending.popleft().get())
-        while pending:
-            write(pending.popleft().get())
-    return True
+        results = [_gen_weight(n, d, visit, order, validate) for d, order in classes]
+    else:
+        render = visit is not None
+        results = []
+        with pool:
+            pending = deque()
+            for k, (d, order) in enumerate(classes, 1):
+                pending.append(pool.apply_async(_walk_class, (n, d, order, validate, render)))
+                while len(pending) > (workers if k < len(classes) else 0):  # all after the last
+                    counts, text = pending.popleft().get()
+                    results.append(counts)
+                    if render:
+                        write(text)
+                    del text  # else it is held while the next class is awaited
+    return GenerationStats(*map(sum, zip(*results)))
 
 
 def _classes(n, order="coolex", cyclic=False):

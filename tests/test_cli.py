@@ -219,17 +219,21 @@ class TestPooledGenerate:
     def test_n_outside_the_range_starts_no_pool(self, pooled, monkeypatch, capsys):
         monkeypatch.setattr(pnoracle, "_POOL_MIN_N", 9)
         calls = []
-        monkeypatch.setattr(pnoracle, "generate_all_pn",
-                            lambda n, sink, order: calls.append(n))  # n = 25 is 50 MB
+
+        def walk(n, d, visit, order, validate):  # n = 25 would list 50 MB
+            calls.append(n)
+            return (0,) * 5
+
+        monkeypatch.setattr(pnoracle, "_gen_weight", walk)
         assert cli.run(["generate", "--n", "25"]) == 0
         assert cli.run(["generate", "--n", "8"]) == 0
-        assert calls == [25, 8] and pooled == []
+        assert calls == [25] * 26 + [8] * 9 and pooled == []  # every class, in this process
 
     def test_n_outside_the_range_loads_no_multiprocessing(self):
         script = ("import sys\n"
                   "from pnwords import cli, pnoracle\n"
                   "pnoracle._cores = lambda: 2\n"
-                  "pnoracle.generate_all_pn = lambda n, sink, order: None\n"
+                  "pnoracle._gen_weight = lambda n, d, visit, order, validate: (0,) * 5\n"
                   "cli.run(['generate', '--n', '25'])\n"
                   "cli.run(['generate', '--n', '8'])\n"
                   "print('multiprocessing' in sys.modules)\n")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pnwords import core
+from pnwords import analysis, core
 
 from conftest import (
     INT_SPELLINGS,
@@ -45,6 +45,11 @@ CHECKED_ENTRY_POINTS = {
     "critical_prefix": core.critical_prefix,
     "run_length_blocks": core.run_length_blocks,
     "BjpmIndex.from_word": core.BjpmIndex.from_word,
+    "phase1_rejects": core.phase1_rejects,
+    "prefix_weights": core.prefix_weights,
+    "weight": core.weight,
+    "complement": core.complement,
+    "critical_prefix_of_pnf": analysis.critical_prefix_of_pnf,
 }
 
 
@@ -220,14 +225,19 @@ class TestBlockScannerTwin:
     def test_stray_character_ends_the_scan(self):
         # a per-character scan stalls on "a" and grows its block list until
         # memory runs out; under a 400 MB address-space cap that fails fast.
-        # The checked entry points refuse "10a" first, so the scanner and
-        # the unchecked linear phase are driven directly.
+        # The entry points refuse "10a" first, so the scanner is driven
+        # directly, and the linear phase must refuse it within the cap.
         script = ("import resource\n"
                   "cap = 400 << 20\n"
                   "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
                   "from pnwords import core\n"
                   "list(core._blocks('10a'))\n"
-                  "core.phase1_rejects('10a')\n")
+                  "try:\n"
+                  "    core.phase1_rejects('10a')\n"
+                  "except core.WordFormatError:\n"
+                  "    pass\n"
+                  "else:\n"
+                  "    raise SystemExit('10a accepted')\n")
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr

@@ -397,8 +397,76 @@ class TestWeightPool:
         assert counters(pnoracle.generate_all_pn(13)) == COUNTERS[13]
         assert pooled == [2]
 
+    def test_pooled_listing_returns_the_serial_stats(self, pooled):
+        texts, visited = [], []
+        stats = pnoracle._run_weights(12, pnoracle._classes(12), visited.append, False,
+                                      texts.append)
+        assert pooled == [2] and visited == []  # the workers rendered the words
+        assert "".join(texts) == "".join(w + "\n" for w in pnoracle.pn_words(12))
+        assert stats == pnoracle.generate_all_pn(12, bubble.Collector())
+
     def test_worker_error_reraises_in_parent(self, pooled, monkeypatch):
         monkeypatch.setattr(pnoracle, "_gen_weight", _broken_walk)
         with pytest.raises(pnoracle.GenerationInvariantError, match=r"weight \d of 6 failed"):
             pnoracle.generate_all_pn(6, validate=True)
         assert pooled == [2]
+
+
+class FakePool:
+    """An in-process stand-in for the forked pool: a task runs when its
+    result is asked for.  Records the tasks in submission order and the
+    most that were ever outstanding."""
+
+    def __init__(self):
+        self.submitted, self.outstanding, self.most = [], 0, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def apply_async(self, func, args):
+        self.submitted.append(args[1:3])  # (d, order)
+        self.outstanding += 1
+        self.most = max(self.most, self.outstanding)
+
+        def get():
+            self.outstanding -= 1
+            return func(*args)
+        return SimpleNamespace(get=get)
+
+
+class TestPoolLoop:
+    """The one pool loop of _run_weights: classes go out in listing order
+    with at most one per worker ahead of the one consumed."""
+
+    @pytest.fixture
+    def fake_pool(self, monkeypatch):
+        pool = FakePool()
+        monkeypatch.setattr(pnoracle, "_fork_pool", lambda workers: pool)
+        monkeypatch.setattr(pnoracle, "_POOL_MIN_N", 0)
+        return pool
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_counting(self, fake_pool, monkeypatch, workers):
+        monkeypatch.setattr(pnoracle, "_cores", lambda: workers)
+        classes = pnoracle._classes(12)
+        assert counters(pnoracle._run_weights(12, classes, None, False)) == COUNTERS[12]
+        assert fake_pool.submitted == classes
+        assert fake_pool.most == workers + 1 and fake_pool.outstanding == 0
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("order, cyclic", [("coolex", False), ("visit-first", False),
+                                               ("coolex", True)],
+                             ids=["coolex", "visit-first", "cyclic"])
+    def test_listing(self, fake_pool, monkeypatch, workers, order, cyclic):
+        expected = [w + "\n" for w in pnoracle.pn_words(12, cyclic=cyclic, order=order)]
+        monkeypatch.setattr(pnoracle, "_cores", lambda: workers)
+        classes = pnoracle._classes(12, order, cyclic)
+        texts, visited = [], []
+        stats = pnoracle._run_weights(12, classes, visited.append, False, texts.append)
+        assert "".join(texts) == "".join(expected) and visited == []
+        assert len(texts) == len(classes) and fake_pool.submitted == classes
+        assert fake_pool.most == workers + 1 and fake_pool.outstanding == 0
+        assert counters(stats) == COUNTERS[12]
