@@ -1,7 +1,8 @@
 """Verifiers and statistics over prefix normal word listings.
 
 Includes the Gray-closeness checker (close: at most two positions go 1->0
-and at most two go 0->1), exhaustive critical-prefix sums,
+and at most two go 0->1), which checks a block of listing lines in a few
+big-int operations, exhaustive critical-prefix sums,
 prefix-normal-form equivalence classes, sampled critical prefixes of
 prefix normal forms, and the rejection-rate table for the two-phase
 membership tester's linear phase.  Exhaustive 2^n scans run numpy
@@ -61,8 +62,37 @@ def gray_close(p: int, q: int) -> bool:
     return p <= 2 and q <= 2
 
 
+# A line's changed positions are summed in one byte lane, which holds n <= 255.
+_LANE_MAX = 255
+_CLOSE_LANES = bytes(range(3))  # p or q of a close pair
+
+
+def _lanes_close(block, w):
+    """Is every pair of consecutive lines of block close?  block is k >= 2
+    whole lines of w - 1 <= _LANE_MAX bytes b"0"/b"1" and a b"\n".
+
+    Byte i of block is digit i of x, and x >> 8w puts the next line's
+    bytes under each line's.  Each digit of d = x ^ b is 1 where the pair
+    differs (newlines cancel), so digits of x & d mark 1 -> 0 changes and
+    digits of b & d mark 0 -> 1 changes.  Times r = 1 + 256 + ... +
+    256^(w-1), digit j sums the w digits up to j; each such window holds
+    at most w - 1 <= 255 changes, so no digit carries, and the digit in a
+    line's newline column is that line's p (or q).  The last line has no
+    next line: x & d keeps its raw bytes, whose sums carry only upward,
+    above the k - 1 digits read."""
+    x = int.from_bytes(block, "little")
+    b = x >> 8 * w
+    d = x ^ b
+    r = int.from_bytes(b"\x01" * w, "little")
+    size, lanes = len(block) + w, slice(w - 1, len(block) - w, w)
+    return not any(
+        (m * r).to_bytes(size, "little")[lanes].translate(None, _CLOSE_LANES)
+        for m in (x & d, b & d))
+
+
 class GrayChecker:
-    """Streaming checker; feed words one at a time, then finish().
+    """Streaming checker; feed words one at a time, or blocks of lines
+    with feed_block, then finish().
 
     Each word is parsed to an int once.  A pair that differs in at most
     two positions has p + q <= 2 and is always close, so (p, q) is
@@ -95,6 +125,31 @@ class GrayChecker:
                         GrayViolation(self._index - 1, u, word, p, q))
         self._prev = word, b
         self._index += 1
+
+    def feed_block(self, block: bytes) -> int:
+        """Feed every line of block and return how many were fed, or feed
+        nothing and return 0 when block is not a run of whole lines of
+        0/1 bytes, each ending in b"\n", with the width of the words fed
+        so far and n <= 255.  The caller then feeds its lines one at a
+        time, which names a bad line.  Checker state and report are those
+        of feeding each line's word."""
+        w = block.find(b"\n") + 1
+        k = len(block) // w if w else 0
+        newlines = b"\n" * k
+        if (not 1 < w <= _LANE_MAX + 1 or len(block) != k * w
+                or block[w - 1::w] != newlines or block.translate(None, b"01") != newlines
+                or self._prev is not None and len(self._prev[0]) != w - 1):
+            return 0
+        self.feed(block[:w - 1].decode())  # the pair across the block boundary
+        if k > 1:
+            if _lanes_close(block, w):
+                last = block[-w:-1].decode()
+                self._prev = last, int(last, 2)
+                self._index += k - 1
+            else:  # find the violations one pair at a time
+                for word in block[w:-1].decode().split("\n"):
+                    self.feed(word)
+        return k
 
     def finish(self) -> GrayReport:
         """The report; a later call returns it again without a second

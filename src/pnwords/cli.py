@@ -7,13 +7,20 @@ after the first batch.  Every listing but ``--algo simple`` makes one
 ``pnoracle._run_weights`` call, which renders a full listing with
 20 <= n <= 24 one weight class per forked worker, on every usable core,
 and writes it in listing order in the same 64 KiB slices; ``--weight``
-and other n stream from one process.  ``verify-gray --stdin`` reads its
-listing as bytes too.  Exit codes: 0 on success, 2 on usage errors (bad words,
-out-of-range parameters, an ``--out`` file that cannot be opened), 1 when
-a verification subcommand finds violations, 130 after Ctrl-C.
+and other n stream from one process.  ``verify-gray`` checks its listing
+in blocks of whole lines, about 64 KiB each: ``--stdin`` reads bytes in
+64 KiB chunks cut at their last newline, and ``--n`` builds the listing
+as ``generate`` does.  ``GrayChecker.feed_block`` checks a block of
+equal-width 0/1 lines in one big-int pass; any other block (CRLF, a
+blank line, a bad byte, a length change, words longer than 255) is fed
+line by line, which names the bad line.  Exit codes: 0 on success, 2 on
+usage errors (bad words, out-of-range parameters, an ``--out`` file that
+cannot be opened), 1 when a verification subcommand finds violations,
+130 after Ctrl-C.
 """
 
 import argparse
+import io
 import sys
 import time
 from contextlib import nullcontext
@@ -47,6 +54,33 @@ def _open_out(args):
     return nullcontext(sys.stdout)
 
 
+def _batcher(n, emit):
+    """(sink, write, flush) that pass a listing of length-n words to emit
+    as text of whole lines, in slices of about _BATCH_BYTES: sink takes
+    one word's 0/1 view, write a class of rendered text from the pool,
+    and flush passes on what sink holds."""
+    step = max(_BATCH_BYTES // (n + 1), 1) * (n + 1)  # whole lines of a class
+    acc = bytearray()  # 0/1 bytes and newlines, rendered once per batch
+    extend, append = acc.extend, acc.append
+
+    def flush():
+        if acc:
+            emit(word_str(acc))
+            acc.clear()
+
+    def sink(view):
+        extend(view)
+        append(10)  # "\n"
+        if len(acc) >= _BATCH_BYTES:
+            flush()
+
+    def write(text):  # slices keep encoded copies small
+        for i in range(0, len(text), step):
+            emit(text[i:i + step])
+
+    return sink, write, flush
+
+
 def _cmd_generate(args):
     if args.cyclic and (args.weight is not None or args.algo == "simple"
                         or args.order != "coolex"):
@@ -54,23 +88,7 @@ def _cmd_generate(args):
     if args.algo == "simple" and (args.weight is not None or args.order != "coolex"):
         raise ValueError("--algo simple cannot be combined with --weight or --order")
     with _open_out(args) as out:
-        acc = bytearray()  # 0/1 bytes and newlines, rendered once per batch
-        extend, append = acc.extend, acc.append
-
-        def flush():
-            out.write(word_str(acc))
-            acc.clear()
-
-        def sink(view):
-            extend(view)
-            append(10)  # "\n"
-            if len(acc) >= _BATCH_BYTES:
-                flush()
-
-        def write(text):  # a class from the pool; slices keep encoded copies small
-            for i in range(0, len(text), _BATCH_BYTES):
-                out.write(text[i:i + _BATCH_BYTES])
-
+        sink, write, flush = _batcher(args.n, out.write)
         if args.algo == "simple":
             pnoracle.simple_generate_pn(args.n, sink)
         else:
@@ -110,34 +128,57 @@ def _cmd_class(args):
     return 0
 
 
+def _line_blocks(stream):
+    """stream's bytes in blocks of whole lines, about _BATCH_BYTES each,
+    then a last line that has no newline."""
+    rest = []
+    while chunk := stream.read(_BATCH_BYTES):
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            rest.append(chunk[:cut])
+            yield b"".join(rest)
+            rest = [chunk[cut:]]
+        else:  # a line longer than a chunk
+            rest.append(chunk)
+    if last := b"".join(rest):
+        yield last
+
+
+def _feed_lines(checker, block, count):
+    """Feed block's lines one at a time, numbered on from count, and
+    return the new count; a bad line is named."""
+    for count, line in enumerate(io.BytesIO(block), count + 1):
+        word = line.removesuffix(b"\n")
+        try:
+            if word and not word.strip(b"01"):
+                word = word.decode()
+            else:  # CRLF, blank or invalid; feed's int(word, 2) takes "0b01"
+                word = core.parse_word(line.decode())
+                if not word:
+                    raise ValueError("blank line")
+            checker.feed(word)
+        except ValueError as exc:
+            raise ValueError(f"line {count}: {exc}") from exc
+    return count
+
+
 def _cmd_verify_gray(args):
     checker = analysis.GrayChecker(cyclic=args.cyclic)
+    count = 0
+
+    def feed(block):  # whole-line blocks in one pass, others line by line
+        nonlocal count
+        fed = checker.feed_block(block)
+        count = count + fed if fed else _feed_lines(checker, block, count)
+
     if args.stdin:
-        count = 0
-        for count, line in enumerate(sys.stdin.buffer, 1):
-            word = line.removesuffix(b"\n")
-            try:
-                if word and not word.strip(b"01"):
-                    word = word.decode()
-                else:  # CRLF, blank or invalid; feed's int(word, 2) takes "0b01"
-                    word = core.parse_word(line.decode())
-                    if not word:
-                        raise ValueError("blank line")
-                checker.feed(word)
-            except ValueError as exc:
-                raise ValueError(f"line {count}: {exc}") from exc
+        for block in _line_blocks(sys.stdin.buffer):
+            feed(block)
     else:
-        count = 0
-
-        def sink(view):
-            nonlocal count
-            count += 1
-            checker.feed(word_str(view))
-
-        if args.cyclic:
-            pnoracle.generate_all_pn_cyclic(args.n, sink)
-        else:
-            pnoracle.generate_all_pn(args.n, sink)
+        sink, write, flush = _batcher(args.n, lambda text: feed(text.encode()))
+        classes = pnoracle._classes(args.n, "coolex", args.cyclic)
+        pnoracle._run_weights(args.n, classes, sink, False, write)
+        flush()
     report = checker.finish()
     print(f"words={count} pairs={report.pairs} violations={len(report.violations)}")
     for v in report.violations:

@@ -121,6 +121,113 @@ class TestGrayCloseness:
         assert analysis.verify_gray(pnoracle.pn_words(n, cyclic=True), cyclic=True).ok
 
 
+def _lines(words):
+    return "".join(w + "\n" for w in words).encode()
+
+
+def _block_report(words, cyclic, size):
+    """GrayReport from feed_block on blocks of size lines."""
+    checker = analysis.GrayChecker(cyclic=cyclic)
+    for i in range(0, len(words), size):
+        assert checker.feed_block(_lines(words[i:i + size])) == len(words[i:i + size])
+    return checker.finish()
+
+
+def _injected_listing(n, cyclic, seed):
+    """A seeded generator listing with violations.  A complemented word
+    breaks both of its pairs: the first pair and the wrap pair (word 0),
+    the last two pairs, and pairs across 2- and 3-line block boundaries
+    (words 6 and 9).  1-3 flips, next to each other and at random
+    places, make p or q about 3, next to the limit."""
+    rng = random.Random(seed)
+    words = pnoracle.pn_words(n, cyclic=cyclic)
+    for i in (0, 6, 9, len(words) - 2):
+        words[i] = core.complement(words[i])
+    for i in {3, 4, 14, 15, 16, *rng.sample(range(20, len(words) - 4), 8)}:
+        x = int(words[i], 2)
+        for _ in range(rng.randrange(1, 4)):
+            x ^= 1 << rng.randrange(n)
+        words[i] = format(x, f"0{n}b")
+    return words
+
+
+class TestGrayBlocks:
+    """feed_block against the pairwise twin, and its refusals."""
+
+    @pytest.mark.parametrize("cyclic", [False, True])
+    @pytest.mark.parametrize("n", range(10, 15))
+    def test_matches_pairwise_report(self, n, cyclic):
+        for seed in range(3):
+            words = _injected_listing(n, cyclic, seed)
+            want = _pairwise_report(words, cyclic)
+            indices = {v.index for v in want.violations}
+            assert {0, 5, 6, 8, 9, len(words) - 3, len(words) - 2} <= indices
+            if cyclic:
+                assert len(words) - 1 in indices
+            for size in (1, 2, 3, 64, len(words)):
+                assert _block_report(words, cyclic, size) == want, (seed, size)
+
+    def test_clean_listings_take_the_kernel(self, monkeypatch):
+        calls = []
+        kernel = analysis._lanes_close
+        monkeypatch.setattr(analysis, "_lanes_close",
+                            lambda *args: calls.append(args) or kernel(*args))
+        for cyclic in (False, True):
+            words = pnoracle.pn_words(14, cyclic=cyclic)
+            assert _block_report(words, cyclic, 64) == _pairwise_report(words, cyclic)
+        assert len(calls) == 2 * -(-len(words) // 64)
+
+    def test_a_kernel_that_passes_everything_is_caught(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_lanes_close", lambda block, w: True)
+        words = _injected_listing(12, False, 0)
+        assert _block_report(words, False, 3) != _pairwise_report(words, False)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 254, 255])
+    def test_kernel_matches_pairwise_closeness(self, n):
+        rng = random.Random(n)
+        for _ in range(40):
+            x = rng.getrandbits(n)
+            words = [format(x, f"0{n}b")]
+            for _ in range(rng.randrange(1, 6)):
+                if rng.random() < 0.2:
+                    x = rng.choice([0, (1 << n) - 1, rng.getrandbits(n)])
+                else:
+                    for _ in range(rng.randrange(6)):
+                        x ^= 1 << rng.randrange(n)
+                words.append(format(x, f"0{n}b"))
+            want = all(analysis.gray_close(*analysis.transposition_counts(u, v))
+                       for u, v in zip(words, words[1:]))
+            assert analysis._lanes_close(_lines(words), n + 1) == want, words
+
+    def test_full_lanes_do_not_carry(self):
+        ones, zeros = "1" * 255, "0" * 255
+        for words in ([ones, zeros, ones], [zeros, ones, zeros], [ones, ones, zeros]):
+            assert not analysis._lanes_close(_lines(words), 256)
+        assert analysis._lanes_close(_lines([ones, ones, ones[:-2] + "00"]), 256)
+        assert _block_report([ones, zeros, ones], True, 3) == _pairwise_report(
+            [ones, zeros, ones], True)
+        # p = 256 would carry out of its lane
+        assert analysis.GrayChecker().feed_block(_lines([ones + "1", zeros + "0"])) == 0
+
+    @pytest.mark.parametrize("block", [
+        b"", b"1000", b"\n", b"1000\n\n", b"1000\r\n1100\r\n", b"1000\n110\n",
+        b"1000\n1100", b"10\n1100\n", b"1000\n1\xff00\n", b"1000\n0b10\n",
+        b"1000\n 100\n", ("1" * 256 + "\n").encode() * 2])
+    def test_refuses_and_feeds_nothing(self, block):
+        checker = analysis.GrayChecker()
+        checker.feed("1100")
+        before = copy.deepcopy(vars(checker))
+        assert checker.feed_block(block) == 0
+        assert vars(checker) == before
+
+    def test_refuses_a_width_change_between_blocks(self):
+        checker = analysis.GrayChecker()
+        assert checker.feed_block(b"1000\n1100\n") == 2
+        assert checker.feed_block(b"11000\n") == 0
+        assert checker.feed_block(b"1110\n") == 1
+        assert checker.finish() == analysis.verify_gray(["1000", "1100", "1110"])
+
+
 EDGE_ARGUMENTS = {  # call -> ValueError message, or the result
     "generate_all_pn(-1)": (lambda: pnoracle.generate_all_pn(-1), "n must be non-negative"),
     "generate_all_pn_cyclic(-1)": (lambda: pnoracle.generate_all_pn_cyclic(-1),

@@ -1,6 +1,7 @@
 import io
 import multiprocessing
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import time
 
 import pytest
 
-from pnwords import bubble, cli, pnoracle
+from pnwords import analysis, bubble, cli, pnoracle
 
 from conftest import LENGTH7_COOLEX_LISTING, needs_fork_pool
 
@@ -48,11 +49,12 @@ class TestCliSubprocess:
             "    return [m for m in ('numpy', 'concurrent.futures', 'multiprocessing')\n"
             "            if m in sys.modules]\n"
             "print(loaded('count', '--n', '8'), loaded('generate', '--n', '8'),\n"
-            "      loaded('stats', 'ratio', '--n', '8'))\n")
+            "      loaded('verify-gray', '--stdin'), loaded('stats', 'ratio', '--n', '8'))\n")
+        _, listing, _ = run_cli("generate", "--n", "12")
         proc = subprocess.run([sys.executable, "-c", script],
-                              capture_output=True, text=True)
+                              input=listing, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "[] [] ['numpy']\n"
+        assert proc.stdout == "[] [] [] ['numpy']\n"
 
     def test_bench_imports_the_pool_before_its_first_row(self):
         # the one-off import would otherwise land in the first pooled row's time
@@ -240,6 +242,13 @@ class TestPooledGenerate:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
+    @pytest.mark.parametrize("options", [[], ["--cyclic"]])
+    def test_verify_gray_n_checks_the_pooled_listing(self, pooled, options, capsys):
+        assert cli.run(["verify-gray", "--n", "16", *options]) == 0
+        pairs = 7568 if options else 7567
+        assert capsys.readouterr().out == f"words=7568 pairs={pairs} violations=0\n"
+        assert pooled == [2]
+
     def test_pipe_closing_mid_listing_exits_0_and_ends_workers(self, pooled, monkeypatch,
                                                                capsys):
         # n = 16 lists 7,568 words of 17 bytes; the reader leaves after 1,000
@@ -401,3 +410,89 @@ class TestCliInProcess:
 
     def test_help_exits_zero(self):
         assert cli.run(["--help"]) == 0
+
+
+def _verify_stdin(monkeypatch, capsys, data, *options):
+    """(exit code, stdout, stderr) of ``verify-gray --stdin`` on data."""
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+    code = cli.run(["verify-gray", "--stdin", *options])
+    return (code, *capsys.readouterr())
+
+
+def _violation_lines(words, cyclic=False):
+    return "".join(f"violation index={v.index} word={v.word} next={v.next_word} "
+                   f"p={v.p} q={v.q}\n"
+                   for v in analysis.verify_gray(words, cyclic=cyclic).violations)
+
+
+class TestVerifyGrayBlocks:
+    """verify-gray reads whole-line blocks; the ones feed_block refuses are
+    fed line by line, with the messages, line numbers and exit codes that
+    line-by-line feeding gives."""
+
+    LISTING = "".join(w + "\n" for w in pnoracle.pn_words(16)).encode()  # 7,568 lines
+
+    @pytest.mark.parametrize("cyclic", [False, True])
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_small_blocks_match_the_checker(self, size, cyclic, monkeypatch, capsys):
+        rng = random.Random(size)
+        for n in range(10, 15):
+            monkeypatch.setattr(cli, "_BATCH_BYTES", size * (n + 1))
+            words = pnoracle.pn_words(n, cyclic=cyclic)
+            for i in (0, *rng.sample(range(len(words)), 6), len(words) - 1):
+                x = int(words[i], 2)
+                for _ in range(rng.randrange(1, 5)):
+                    x ^= 1 << rng.randrange(n)
+                words[i] = format(x, f"0{n}b")
+            options = ["--cyclic"] if cyclic else []
+            code, out, err = _verify_stdin(
+                monkeypatch, capsys, "".join(w + "\n" for w in words).encode(), *options)
+            report = analysis.verify_gray(words, cyclic=cyclic)
+            assert out == (f"words={len(words)} pairs={report.pairs} "
+                           f"violations={len(report.violations)}\n"
+                           + _violation_lines(words, cyclic))
+            assert (code, err) == (0 if report.ok else 1, "")
+            assert cli.run(["verify-gray", "--n", str(n), *options]) == 0
+            assert capsys.readouterr().out.startswith(
+                f"words={len(words)} pairs={report.pairs} violations=0\n")
+
+    @pytest.mark.parametrize("edit, code, message", [
+        (lambda line: line + b"\r", 0, ""),
+        (lambda line: line[:3] + b"\xff" + line[4:], 2, "error: line 5000: 'utf-8' codec"),
+        (lambda line: b"", 2, "error: line 5000: blank line\n"),
+        (lambda line: line[:-1], 2, "error: line 5000: words must have equal length\n"),
+        (None, 0, ""),
+    ], ids=["crlf", "xff", "blank", "shorter", "no-final-newline"])
+    def test_bad_line_past_the_first_block(self, edit, code, message, monkeypatch, capsys):
+        lines = self.LISTING.split(b"\n")
+        if edit is None:
+            data = b"\n".join(lines[:5000])
+        else:
+            lines[4999] = edit(lines[4999])
+            data = b"\n".join(lines)
+        assert len(b"".join(lines[:4999])) > cli._BATCH_BYTES  # past the first block
+        got = _verify_stdin(monkeypatch, capsys, data)
+        assert got[0] == code and got[2].startswith(message)
+        if edit is None:
+            assert got[1] == "words=5000 pairs=4999 violations=0\n"
+        monkeypatch.setattr(analysis.GrayChecker, "feed_block", lambda self, block: 0)
+        assert _verify_stdin(monkeypatch, capsys, data) == got
+
+    def test_words_longer_than_a_lane_go_line_by_line(self, monkeypatch, capsys):
+        def kernel(*args):
+            raise AssertionError("a width-300 block reached the kernel")
+
+        monkeypatch.setattr(analysis, "_lanes_close", kernel)
+        rng = random.Random(300)
+        x, words = rng.getrandbits(300), []
+        for _ in range(600):
+            for _ in range(rng.randrange(4)):
+                x ^= 1 << rng.randrange(300)
+            words.append(format(x, "0300b"))
+        code, out, err = _verify_stdin(monkeypatch, capsys,
+                                       "".join(w + "\n" for w in words).encode())
+        report = analysis.verify_gray(words)
+        assert len(report.violations) > 5
+        assert (code, err) == (1, "")
+        assert out == (f"words=600 pairs=599 violations={len(report.violations)}\n"
+                       + _violation_lines(words))
