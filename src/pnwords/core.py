@@ -10,11 +10,16 @@ length (index 0 holds the empty-prefix value 0).  The public tables and
 testers check their word once and raise ``WordFormatError`` for text that
 is not 0/1; the helpers they share take it as given.  Everything that reads a
 word as its blocks 1^s 0^t goes through one scanner, ``_blocks``.
+
+The window-maxima tables, ``pnf`` and ``is_prefix_normal`` share one
+kernel, ``_window_max``: one int holds a lane per window start, and each
+of n steps adds the next symbol to every window with a few big-int
+operations over about n*L bits (L = (n + 1).bit_length() + 1).
 """
 
 from dataclasses import dataclass
-from itertools import pairwise
-from operator import sub
+from itertools import accumulate
+from operator import eq, sub
 
 
 class WordFormatError(ValueError):
@@ -70,30 +75,53 @@ def shortest_window(pos: list[int], j: int) -> int:
     return min(map(sub, pos[j - 1:], pos)) + 1
 
 
-def _max_marks(n: int, pos: list[int]) -> list[int]:
-    """f[k] = most marks in a length-k window of a length-n word with
-    marks at the sorted positions pos.  f steps up by one exactly at each
-    shortest window, so the whole table costs about len(pos)**2 / 2
-    C-level steps."""
-    bounds = [0, *(shortest_window(pos, j) for j in range(1, len(pos) + 1)), n + 1]
-    f = []
-    for j, (lo, hi) in enumerate(pairwise(bounds)):
-        f += [j] * (hi - lo)
-    return f
+def _lanes(w):
+    """(S, R, L) for a checked word w of length n: lane i of S, bits i*L to
+    i*L + L - 1, holds w[i]; R has a 1 in each of the n lanes."""
+    n = len(w)
+    L = (n + 1).bit_length() + 1
+    S = int(("0" * (L - 1)).join(w[::-1]) or "0", 2)
+    return S, ((1 << L * n) - 1) // ((1 << L) - 1), L
+
+
+def _window_max(S, R, L, n):
+    """Yield f[1..n], f[k] the most marks in a length-k window, from the
+    lanes S of the marks of a length-n word.  Step k adds the marks
+    w[i+k-1], so lane i of Z holds v + 2**(L-1) - 1 - f[k-1], v the marks
+    in w[i:i+k].  v <= f[k-1] + 1 < 2**(L-1), so no lane carries, and some
+    lane's top bit is set iff f[k] = f[k-1] + 1.  Lanes i > n - k hold
+    suffixes, never more than the window ending at n; they are masked off
+    each time they make up half of Z (below 64 lanes a mask costs more than
+    it saves)."""
+    H = R << (L - 1)
+    Z, c, live = H - R, 0, n
+    while live:
+        mask = (1 << L * live) - 1
+        Z, R, H = Z & mask, R & mask, H & mask
+        steps = live - live // 2 if live > 64 else live
+        live -= steps
+        for _ in range(steps):
+            Z += S
+            S >>= L
+            if Z & H:
+                c += 1
+                Z -= R
+            yield c
 
 
 def max_ones(w: str) -> list[int]:
     """f[i] = maximum number of 1s over all length-i substrings of w."""
-    return _max_marks(len(w), positions(_check_word(w)))
+    return [0, *_window_max(*_lanes(_check_word(w)), len(w))]
 
 
 def min_ones(w: str) -> list[int]:
     """g[i] = minimum number of 1s over all length-i substrings of w."""
-    return _min_ones(_check_word(w))
+    return _min_ones(*_lanes(_check_word(w)), len(w))
 
 
-def _min_ones(w):
-    return list(map(sub, range(len(w) + 1), _max_marks(len(w), positions(w, "0"))))
+def _min_ones(S, R, L, n):
+    """g[k] = k minus the most 0s in a length-k window (lanes R - S)."""
+    return [0, *map(sub, range(1, n + 1), _window_max(R - S, R, L, n))]
 
 
 def pnf(w: str) -> str:
@@ -103,19 +131,18 @@ def pnf(w: str) -> str:
 
 
 def _pnf(w):
-    f = _max_marks(len(w), positions(w))
+    f = [0, *_window_max(*_lanes(w), len(w))]
     return "".join(map("01".__getitem__, map(sub, f[1:], f)))
 
 
 def is_prefix_normal(w: str) -> bool:
-    """Membership test: for every j, the prefix up to the j-th 1 must be a
-    shortest window holding j ones.  Stops at the first j that fails."""
+    """Membership test: max_ones(w)[k] equals the number of 1s in the
+    length-k prefix for every k.  Stops at the first k that fails."""
     return _is_prefix_normal(_check_word(w))
 
 
 def _is_prefix_normal(w):
-    pos = positions(w)
-    return all(shortest_window(pos, j) == pos[j - 1] + 1 for j in range(1, len(pos) + 1))
+    return all(map(eq, _window_max(*_lanes(w), len(w)), accumulate(map(int, w))))
 
 
 @dataclass(frozen=True)
@@ -236,7 +263,9 @@ class BjpmIndex:
 
     @classmethod
     def from_word(cls, w: str) -> "BjpmIndex":
-        return cls(len(w), tuple(max_ones(w)), tuple(_min_ones(w)))  # max_ones checks w
+        lanes = _lanes(_check_word(w))
+        n = len(w)
+        return cls(n, (0, *_window_max(*lanes, n)), tuple(_min_ones(*lanes, n)))
 
     def query(self, x: int, y: int) -> bool:
         if x < 0 or y < 0:

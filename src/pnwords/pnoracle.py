@@ -19,7 +19,9 @@ of any depth work, with the swap, membership test and f upkeep written
 inline.  ``validate=True`` checks them against independent references:
 ``f`` against ``core.max_ones``, each bound against ``is_prefix_normal``
 through ``bubble.naive_oracle``, and each return from a child against
-the state before it was entered.
+the state before it was entered.  Both references run on ``core``'s
+bit-parallel window-maxima kernel, which shares no code with the upkeep
+of ``f`` here.
 
 The weight classes share no state, so once n is large enough for it to
 pay, ``_run_weights`` walks them in a pool of forked processes, one per

@@ -7,7 +7,9 @@ ground truth for small inputs.
 
 import multiprocessing
 import sys
+from bisect import bisect_right
 from itertools import combinations
+from operator import sub
 from types import SimpleNamespace
 
 import pytest
@@ -49,6 +51,16 @@ def brute_min_ones(w):
     for i in range(1, n + 1):
         g[i] = min(w[j:j + i].count("1") for j in range(n - i + 1))
     return g
+
+
+def shortest_window_max_ones(w):
+    """Window maxima from the shortest window holding j ones, for each j:
+    f[k] counts the j whose shortest window fits in k.  About weight**2 / 2
+    C-level steps, so it is the reference for words too long for
+    brute_max_ones (seconds per call at n = 2048)."""
+    ones = [i for i, c in enumerate(w) if c == "1"]
+    shortest = [min(map(sub, ones[j - 1:], ones)) + 1 for j in range(1, len(ones) + 1)]
+    return [bisect_right(shortest, k) for k in range(len(w) + 1)]
 
 
 def brute_is_prefix_normal(w):

@@ -16,11 +16,16 @@ from conftest import (
     brute_min_ones,
     brute_run_length_blocks,
     brute_substring_parikh,
+    shortest_window_max_ones,
 )
 
 words_st = st.text(alphabet="01", max_size=16)
 nonempty_words_st = st.text(alphabet="01", min_size=1, max_size=16)
 long_words_st = st.text(alphabet="01", max_size=300)
+# every length 0..300 equally likely, so the lane widths that change at
+# n = 127 and n = 255 are all drawn
+sized_words_st = st.integers(0, 300).flatmap(
+    lambda n: st.text(alphabet="01", min_size=n, max_size=n))
 
 
 class TestParseWord:
@@ -50,14 +55,40 @@ CHECKED_ENTRY_POINTS = {
     "weight": core.weight,
     "complement": core.complement,
     "critical_prefix_of_pnf": analysis.critical_prefix_of_pnf,
+    "is_extension_critical": core.is_extension_critical,
 }
 
 
-@pytest.mark.parametrize("bad", ["2", "10a", "1a1", "a", "1 0", "10\n", *INT_SPELLINGS])
+@pytest.fixture
+def lanes_built(monkeypatch):
+    """The words the window-maxima kernel builds its lanes from."""
+    built = []
+    real = core._lanes
+
+    def recording(w):
+        built.append(w)
+        return real(w)
+    monkeypatch.setattr(core, "_lanes", recording)
+    return built
+
+
+@pytest.mark.parametrize("bad", ["2", "10a", "1a1", "a", "1 0", "10\n", *INT_SPELLINGS,
+                                 " 10", "1\n0"])
 @pytest.mark.parametrize("name", CHECKED_ENTRY_POINTS)
-def test_entry_points_reject_text_that_is_not_a_word(name, bad):
+def test_entry_points_reject_text_that_is_not_a_word(name, bad, lanes_built):
+    # int(., 2) takes '_', a sign, '0b' and whitespace, so the check must
+    # come before the lanes are built
     with pytest.raises(core.WordFormatError, match="invalid character"):
         CHECKED_ENTRY_POINTS[name](bad)
+    assert lanes_built == []
+
+
+@pytest.mark.parametrize("name", ["max_ones", "min_ones", "pnf", "is_prefix_normal",
+                                  "member_two_phase", "BjpmIndex.from_word",
+                                  "is_extension_critical"])
+def test_kernel_entry_points_build_lanes(name, lanes_built):
+    CHECKED_ENTRY_POINTS[name]("10")
+    assert lanes_built == ["10"]
 
 
 class TestPrefixWeights:
@@ -136,6 +167,17 @@ class TestIsPrefixNormal:
         for w in all_words(n):
             assert core.is_prefix_normal(w) == brute_is_prefix_normal(w), w
 
+    @pytest.mark.parametrize("n", [4, 5, 14, 126, 127, 255, 256])
+    def test_refused_only_at_half_length(self, n):
+        # the scan must run to k = n // 2 to refuse the word, and to k = n
+        # to accept it with its last 1 dropped
+        w = late_excess_word(n)
+        f = brute_max_ones(w)
+        excess = [k for k in range(n + 1) if f[k] > w[:k].count("1")]
+        assert excess[0] == n // 2 and (n % 2 or excess == [n // 2])
+        assert core.is_prefix_normal(w) is False
+        assert core.is_prefix_normal(w[:-1] + "0") is True
+
 
 class TestTablesAgainstBruteForce:
     """max_ones, min_ones and pnf against the substring-enumerating twins;
@@ -144,10 +186,13 @@ class TestTablesAgainstBruteForce:
     @pytest.mark.parametrize("n", range(0, 13))
     def test_exhaustive(self, n):
         for w in all_words(n):
-            f = brute_max_ones(w)
+            f, g = brute_max_ones(w), brute_min_ones(w)
             assert core.max_ones(w) == f, w
-            assert core.min_ones(w) == brute_min_ones(w), w
+            assert core.min_ones(w) == g, w
             assert core.prefix_weights(core.pnf(w)) == f, w
+            idx = core.BjpmIndex.from_word(w)
+            assert (idx.max_ones, idx.min_ones) == (tuple(f), tuple(g)), w
+            assert core.member_two_phase(w) == brute_is_prefix_normal(w), w
 
     @pytest.mark.parametrize("n", [100, 257, 1024])
     def test_seeded_long_words(self, n):
@@ -164,11 +209,46 @@ class TestTablesAgainstBruteForce:
             assert core.is_prefix_normal(w) == (core.prefix_weights(w) == f), w
 
     @settings(max_examples=60, deadline=None)
-    @given(long_words_st)
+    @given(sized_words_st)
     def test_long_words_max_ones_and_pnf(self, w):
         f = brute_max_ones(w)
         assert core.max_ones(w) == f
+        assert core.min_ones(w) == brute_min_ones(w)
         assert core.prefix_weights(core.pnf(w)) == f
+
+    @pytest.mark.parametrize("n", [126, 127, 128, 254, 255, 256, 2047, 2048])
+    def test_lane_boundary_words(self, n):
+        # the lane width L = (n+1).bit_length() + 1 grows at n = 127, 255
+        # and 2047; at n = 126 and 254, 2**(L-1) exceeds n + 1 by one, the
+        # least margin.  Beyond 256 the brute-force twins take seconds a
+        # call, so the shortest-window twin is the reference there.
+        rng = random.Random(n)
+        seeded = "1" + format(rng.getrandbits(n - 1), f"0{n - 1}b")
+        words = ["0" * n, "1" * n, "1" * (n - 1) + "0", "0" * (n - 1) + "1",
+                 ("10" * n)[:n], "1" * (n // 3) + "0" * (n - n // 3), seeded,
+                 core.pnf(seeded), late_excess_word(n)]
+        for w in words:
+            if n <= 256:
+                f, g = brute_max_ones(w), brute_min_ones(w)
+            else:
+                f = shortest_window_max_ones(w)
+                g = [k - x for k, x in enumerate(shortest_window_max_ones(core.complement(w)))]
+            p = core.prefix_weights(w)
+            assert core.max_ones(w) == f, w
+            assert core.min_ones(w) == g, w
+            assert core.prefix_weights(core.pnf(w)) == f, w
+            assert core.is_prefix_normal(w) == (p == f), w
+            idx = core.BjpmIndex.from_word(w)
+            assert (idx.max_ones, idx.min_ones) == (tuple(f), tuple(g)), w
+
+
+def late_excess_word(n):
+    """1 0^(n-h-1) 1 0^(h-2) 1 with h = n // 2: the suffix 1 0^(h-2) 1 is
+    the first window, and for even n the only one, to hold more 1s than the
+    prefix of its length h.  An exhaustive search up to n = 14 finds no
+    word first refused at a greater length."""
+    h = n // 2
+    return "1" + "0" * (n - h - 1) + "1" + "0" * (h - 2) + "1"
 
 
 class TestRunLengthBlocks:

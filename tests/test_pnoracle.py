@@ -86,6 +86,30 @@ class TestGenerateAll:
         assert plain.words == checked.words
         assert checked_stats == plain_stats
 
+    def test_validation_checks_f_against_the_lane_kernel(self, monkeypatch):
+        # the walker keeps f itself and never runs the kernel; a validated
+        # run checks f against core.max_ones, so a wrong table must fail it
+        kernel_runs = []
+        real = core._window_max
+
+        def counting(S, R, L, n):
+            kernel_runs.append(n)
+            return real(S, R, L, n)
+        monkeypatch.setattr(core, "_window_max", counting)
+        assert [pnoracle.generate_all_pn(n).count for n in range(1, 13)] == PNW_COUNTS
+        assert kernel_runs == []
+        for n in range(13):
+            pnoracle.generate_all_pn(n, validate=True)
+        assert kernel_runs
+
+        def wrong_max_ones(w):
+            f = [0, *real(*core._lanes(w), len(w))]
+            f[1] += 1
+            return f
+        monkeypatch.setattr(core, "max_ones", wrong_max_ones)
+        with pytest.raises(pnoracle.GenerationInvariantError, match=r"f\[1\.\."):
+            pnoracle.generate_all_pn(8, validate=True)
+
     @pytest.mark.parametrize("n", (15, 16))
     def test_validated_larger_lengths(self, n):
         # exercises the per-node buffer and f-array restoration checksums
