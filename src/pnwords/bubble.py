@@ -14,16 +14,41 @@ oracle and two closure checkers.
 
 Sinks receive a read-only memoryview of 0/1 byte values that is only
 valid during the visit call (the underlying word mutates afterwards).
+``_lines`` is the listing's one renderer: the CLI and the pool workers
+turn visited words into text, one word per line, only through it.
 """
 
 from .core import _check_word
 
 _TO_ASCII = bytes.maketrans(b"\x00\x01", b"01")
 
+_BATCH_BYTES = 1 << 16  # text passed on at a time, in whole lines
+
 
 def word_str(view) -> str:
     """Render a 0/1-valued byte buffer as a word string."""
     return bytes(view).translate(_TO_ASCII).decode("ascii")
+
+
+def _lines(write):
+    """(sink, flush) that pass visited words to write as text, one word
+    per line, in batches of whole lines of about _BATCH_BYTES: sink takes
+    one word's 0/1 view, and flush passes on what sink holds."""
+    acc = bytearray()  # 0/1 bytes and newlines, rendered once per batch
+    extend, append = acc.extend, acc.append
+
+    def flush():
+        if acc:
+            write(word_str(acc))
+            acc.clear()
+
+    def sink(view):
+        extend(view)
+        append(10)  # "\n"
+        if len(acc) >= _BATCH_BYTES:
+            flush()
+
+    return sink, flush
 
 
 class Collector:

@@ -1,22 +1,24 @@
 """Command line front end: generation, membership, prefix normal forms,
 Gray code verification, statistics and benchmarking.
 
-Words stream to stdout one per line, collected as bytes and written in
-batches of about 64 KiB, so ``generate | head`` sees its first line only
+Words stream to stdout one per line.  The CLI holds no renderer: it
+only writes the text that ``bubble._lines`` renders, in batches of whole
+lines of about 64 KiB, so ``generate | head`` sees its first line only
 after the first batch.  Every listing but ``--algo simple`` makes one
-``pnoracle._run_weights`` call, which renders a full listing with
-20 <= n <= 24 one weight class per forked worker, on every usable core,
-and writes it in listing order in the same 64 KiB slices; ``--weight``
-and other n stream from one process.  ``verify-gray`` checks its listing
-in blocks of whole lines, about 64 KiB each: ``--stdin`` reads bytes in
-64 KiB chunks cut at their last newline, and ``--n`` builds the listing
-as ``generate`` does.  ``GrayChecker.feed_block`` checks a block of
-equal-width 0/1 lines in one big-int pass; any other block (CRLF, a
-blank line, a bad byte, a length change, words longer than 255) is fed
-line by line, which names the bad line.  Exit codes: 0 on success, 2 on
-usage errors (bad words, out-of-range parameters, an ``--out`` file that
-cannot be opened), 1 when a verification subcommand finds violations,
-130 after Ctrl-C.
+``pnoracle._run_weights`` call with ``out.write``, which renders a full
+listing with 20 <= n <= 24 one weight class per forked worker, on every
+usable core, and writes the workers' batches as they are, in listing
+order; ``--weight`` and other n stream from one process.
+``verify-gray`` checks its listing in blocks of whole lines, about
+64 KiB each: ``--stdin`` reads bytes in 64 KiB chunks cut at their last
+newline, and ``--n`` checks the batches that ``generate`` would write.
+``GrayChecker.feed_block`` checks a block of equal-width 0/1 lines in
+one big-int pass; any other block (CRLF, a blank line, a bad byte, a
+length change, words longer than 255) is fed line by line through
+``core.parse_word``, which names the bad line.  Exit codes: 0 on
+success, 2 on usage errors (bad words, out-of-range parameters, an
+``--out`` file that cannot be opened), 1 when a verification subcommand
+finds violations, 130 after Ctrl-C.
 """
 
 import argparse
@@ -25,10 +27,7 @@ import sys
 import time
 from contextlib import nullcontext
 
-from . import analysis, core, pnoracle
-from .bubble import word_str
-
-_BATCH_BYTES = 1 << 16
+from . import analysis, bubble, core, pnoracle
 
 
 def _positive(text):
@@ -54,33 +53,6 @@ def _open_out(args):
     return nullcontext(sys.stdout)
 
 
-def _batcher(n, emit):
-    """(sink, write, flush) that pass a listing of length-n words to emit
-    as text of whole lines, in slices of about _BATCH_BYTES: sink takes
-    one word's 0/1 view, write a class of rendered text from the pool,
-    and flush passes on what sink holds."""
-    step = max(_BATCH_BYTES // (n + 1), 1) * (n + 1)  # whole lines of a class
-    acc = bytearray()  # 0/1 bytes and newlines, rendered once per batch
-    extend, append = acc.extend, acc.append
-
-    def flush():
-        if acc:
-            emit(word_str(acc))
-            acc.clear()
-
-    def sink(view):
-        extend(view)
-        append(10)  # "\n"
-        if len(acc) >= _BATCH_BYTES:
-            flush()
-
-    def write(text):  # slices keep encoded copies small
-        for i in range(0, len(text), step):
-            emit(text[i:i + step])
-
-    return sink, write, flush
-
-
 def _cmd_generate(args):
     if args.cyclic and (args.weight is not None or args.algo == "simple"
                         or args.order != "coolex"):
@@ -88,14 +60,14 @@ def _cmd_generate(args):
     if args.algo == "simple" and (args.weight is not None or args.order != "coolex"):
         raise ValueError("--algo simple cannot be combined with --weight or --order")
     with _open_out(args) as out:
-        sink, write, flush = _batcher(args.n, out.write)
         if args.algo == "simple":
+            sink, flush = bubble._lines(out.write)
             pnoracle.simple_generate_pn(args.n, sink)
+            flush()
         else:
             classes = ([(args.weight, args.order)] if args.weight is not None
                        else pnoracle._classes(args.n, args.order, args.cyclic))
-            pnoracle._run_weights(args.n, classes, sink, False, write)
-        flush()
+            pnoracle._run_weights(args.n, classes, None, False, out.write)
     return 0
 
 
@@ -129,10 +101,10 @@ def _cmd_class(args):
 
 
 def _line_blocks(stream):
-    """stream's bytes in blocks of whole lines, about _BATCH_BYTES each,
-    then a last line that has no newline."""
+    """stream's bytes in blocks of whole lines, about the renderer's
+    ``bubble._BATCH_BYTES`` each, then a last line that has no newline."""
     rest = []
-    while chunk := stream.read(_BATCH_BYTES):
+    while chunk := stream.read(bubble._BATCH_BYTES):
         cut = chunk.rfind(b"\n") + 1
         if cut:
             rest.append(chunk[:cut])
@@ -146,16 +118,13 @@ def _line_blocks(stream):
 
 def _feed_lines(checker, block, count):
     """Feed block's lines one at a time, numbered on from count, and
-    return the new count; a bad line is named."""
+    return the new count; a bad line is named.  Only blocks that
+    ``feed_block`` refused come here."""
     for count, line in enumerate(io.BytesIO(block), count + 1):
-        word = line.removesuffix(b"\n")
         try:
-            if word and not word.strip(b"01"):
-                word = word.decode()
-            else:  # CRLF, blank or invalid; feed's int(word, 2) takes "0b01"
-                word = core.parse_word(line.decode())
-                if not word:
-                    raise ValueError("blank line")
+            word = core.parse_word(line.decode())  # feed's int(word, 2) takes "0b01"
+            if not word:
+                raise ValueError("blank line")
             checker.feed(word)
         except ValueError as exc:
             raise ValueError(f"line {count}: {exc}") from exc
@@ -175,10 +144,8 @@ def _cmd_verify_gray(args):
         for block in _line_blocks(sys.stdin.buffer):
             feed(block)
     else:
-        sink, write, flush = _batcher(args.n, lambda text: feed(text.encode()))
         classes = pnoracle._classes(args.n, "coolex", args.cyclic)
-        pnoracle._run_weights(args.n, classes, sink, False, write)
-        flush()
+        pnoracle._run_weights(args.n, classes, None, False, lambda text: feed(text.encode()))
     report = checker.finish()
     print(f"words={count} pairs={report.pairs} violations={len(report.violations)}")
     for v in report.violations:

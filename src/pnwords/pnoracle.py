@@ -26,9 +26,11 @@ of ``f`` here.
 The weight classes share no state, so once n is large enough for it to
 pay, ``_run_weights`` walks them in a pool of forked processes, one per
 usable core, in listing order with one class per worker of lookahead.
-A counting run (no ``visit`` sink) sums their counters; ``generate``
-also gets each class's text, rendered by its worker, in listing order.
-A library call with a ``visit`` sink stays serial.
+A counting run (no ``visit`` sink) sums their counters; a listing run
+(a ``write``, from the CLI) also gets each class's text, which its worker
+renders through ``bubble._lines`` into 64 KiB batches of whole lines,
+and the parent writes the batches as they are, in listing order.  A
+library call with a ``visit`` sink stays serial.
 """
 
 import os
@@ -236,49 +238,51 @@ def _fork_pool(workers):
 
 def _walk_class(n, d, order, validate, render):
     """One pool task: the counters of the weight-d class and, when render
-    is set, its listing as text, one word per line."""
-    acc = bytearray()
-    extend, append = acc.extend, acc.append
-
-    def sink(view):
-        extend(view)
-        append(10)  # "\n"
-
+    is set, its listing as the text batches of ``bubble._lines``."""
+    batches = []
+    sink, flush = bubble._lines(batches.append)
     counts = _gen_weight(n, d, sink if render else None, order, validate)
-    return counts, word_str(acc) if render else None
+    flush()
+    return counts, batches
 
 
 def _run_weights(n, classes, visit, validate, write=None):
     """Walk the (weight, order) classes and sum their counters.
 
-    In a process pool when n >= ``_POOL_MIN_N``, more than one core and
-    class are usable, and the run either has no ``visit`` sink (it only
-    counts) or renders: a ``write`` is given and n <= ``_RENDER_MAX_N``.
+    Library callers pass a ``visit`` sink, or None to only count; the CLI
+    passes ``write`` instead, never both, which gets the listing's text
+    in the batches of ``bubble._lines``.  In a process pool when
+    n >= ``_POOL_MIN_N``, more than one core and class are usable, there
+    is no ``visit`` and, with a ``write``, n <= ``_RENDER_MAX_N``.
     Classes are submitted in listing order with at most ``workers`` held
     ahead of the one being consumed, so a rendering parent holds few
-    classes; each class's text goes to ``write`` in listing order.
+    classes, and their batches are written as they are, in listing order.
     Otherwise, or when no pool can be started, the classes are walked
-    serially into ``visit``."""
+    serially."""
     workers = min(_cores(), len(classes))
     pool = None
     if (n >= _POOL_MIN_N and workers > 1  # checked before the multiprocessing import
-            and (visit is None or write is not None and n <= _RENDER_MAX_N)):
+            and visit is None and (write is None or n <= _RENDER_MAX_N)):
         pool = _fork_pool(workers)
     if pool is None:
+        if write is not None:
+            visit, flush = bubble._lines(write)
         results = [_gen_weight(n, d, visit, order, validate) for d, order in classes]
+        if write is not None:
+            flush()
     else:
-        render = visit is not None
+        render = write is not None
         results = []
         with pool:
             pending = deque()
             for k, (d, order) in enumerate(classes, 1):
                 pending.append(pool.apply_async(_walk_class, (n, d, order, validate, render)))
                 while len(pending) > (workers if k < len(classes) else 0):  # all after the last
-                    counts, text = pending.popleft().get()
+                    counts, batches = pending.popleft().get()
                     results.append(counts)
-                    if render:
+                    for text in batches:
                         write(text)
-                    del text  # else it is held while the next class is awaited
+                    del batches  # else held while the next class is awaited
     return GenerationStats(*map(sum, zip(*results)))
 
 

@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -437,7 +438,7 @@ class TestVerifyGrayBlocks:
     def test_small_blocks_match_the_checker(self, size, cyclic, monkeypatch, capsys):
         rng = random.Random(size)
         for n in range(10, 15):
-            monkeypatch.setattr(cli, "_BATCH_BYTES", size * (n + 1))
+            monkeypatch.setattr(bubble, "_BATCH_BYTES", size * (n + 1))  # --stdin and --n
             words = pnoracle.pn_words(n, cyclic=cyclic)
             for i in (0, *rng.sample(range(len(words)), 6), len(words) - 1):
                 x = int(words[i], 2)
@@ -470,7 +471,7 @@ class TestVerifyGrayBlocks:
         else:
             lines[4999] = edit(lines[4999])
             data = b"\n".join(lines)
-        assert len(b"".join(lines[:4999])) > cli._BATCH_BYTES  # past the first block
+        assert len(b"".join(lines[:4999])) > bubble._BATCH_BYTES  # past the first block
         got = _verify_stdin(monkeypatch, capsys, data)
         assert got[0] == code and got[2].startswith(message)
         if edit is None:
@@ -496,3 +497,73 @@ class TestVerifyGrayBlocks:
         assert (code, err) == (1, "")
         assert out == (f"words=600 pairs=599 violations={len(report.violations)}\n"
                        + _violation_lines(words))
+
+
+def _simple_words(n):
+    sink = bubble.Collector()
+    pnoracle.simple_generate_pn(n, sink)
+    return sink.words
+
+
+class TestListingBatches:
+    """Every listing reaches its writer as the batches of bubble._lines:
+    with a batch of 1-3 lines, each write is whole lines, at most one batch
+    plus one line long, and the writes join to the listing, serial or
+    pooled."""
+
+    LISTINGS = {
+        "coolex": ([], pnoracle.pn_words),
+        "weight": (["--weight", "8"],
+                   lambda n: [w for w in pnoracle.pn_words(n) if w.count("1") == 8]),
+        "cyclic": (["--cyclic"], lambda n: pnoracle.pn_words(n, cyclic=True)),
+        "visit-first": (["--order", "visit-first"],
+                        lambda n: pnoracle.pn_words(n, order="visit-first")),
+        "simple": (["--algo", "simple"], _simple_words),
+    }
+    POOLED = ("coolex", "cyclic", "visit-first")  # more than one class
+
+    @pytest.fixture(params=["serial", pytest.param("pooled", marks=needs_fork_pool)])
+    def made(self, request, monkeypatch):
+        """The sizes of the pools made; None when the run is held serial."""
+        if request.param == "pooled":
+            return request.getfixturevalue("pooled")
+        monkeypatch.setattr(pnoracle, "_POOL_MIN_N", 0)
+        monkeypatch.setattr(pnoracle, "_cores", lambda: 1)
+        return None
+
+    @staticmethod
+    def check(writes, words, n, size):
+        assert "".join(writes) == "".join(w + "\n" for w in words)
+        assert all(text.endswith("\n") and len(text) <= (size + 1) * (n + 1) for text in writes)
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    @pytest.mark.parametrize("mode", LISTINGS)
+    def test_generate(self, mode, size, made, monkeypatch):
+        options, listing = self.LISTINGS[mode]
+        for n in range(12, 17):
+            monkeypatch.setattr(bubble, "_BATCH_BYTES", size * (n + 1))
+            writes = []
+            monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+            assert cli.run(["generate", "--n", str(n), *options]) == 0
+            self.check(writes, listing(n), n, size)
+        if made is not None:
+            assert made == ([2] * 5 if mode in self.POOLED else [])
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    @pytest.mark.parametrize("cyclic", [False, True])
+    def test_verify_gray_n(self, cyclic, size, made, monkeypatch, capsys):
+        blocks = []
+        feed_block = analysis.GrayChecker.feed_block
+        monkeypatch.setattr(analysis.GrayChecker, "feed_block",
+                            lambda self, block: blocks.append(block) or feed_block(self, block))
+        options = ["--cyclic"] if cyclic else []
+        for n in range(12, 17):
+            monkeypatch.setattr(bubble, "_BATCH_BYTES", size * (n + 1))
+            blocks.clear()
+            assert cli.run(["verify-gray", "--n", str(n), *options]) == 0
+            words = pnoracle.pn_words(n, cyclic=cyclic)
+            pairs = len(words) if cyclic else len(words) - 1
+            assert capsys.readouterr().out == f"words={len(words)} pairs={pairs} violations=0\n"
+            self.check([block.decode() for block in blocks], words, n, size)
+        if made is not None:
+            assert made == [2] * 5

@@ -423,8 +423,7 @@ class TestWeightPool:
 
     def test_pooled_listing_returns_the_serial_stats(self, pooled):
         texts, visited = [], []
-        stats = pnoracle._run_weights(12, pnoracle._classes(12), visited.append, False,
-                                      texts.append)
+        stats = pnoracle._run_weights(12, pnoracle._classes(12), None, False, texts.append)
         assert pooled == [2] and visited == []  # the workers rendered the words
         assert "".join(texts) == "".join(w + "\n" for w in pnoracle.pn_words(12))
         assert stats == pnoracle.generate_all_pn(12, bubble.Collector())
@@ -489,7 +488,7 @@ class TestPoolLoop:
         monkeypatch.setattr(pnoracle, "_cores", lambda: workers)
         classes = pnoracle._classes(12, order, cyclic)
         texts, visited = [], []
-        stats = pnoracle._run_weights(12, classes, visited.append, False, texts.append)
+        stats = pnoracle._run_weights(12, classes, None, False, texts.append)  # one batch a class
         assert "".join(texts) == "".join(expected) and visited == []
         assert len(texts) == len(classes) and fake_pool.submitted == classes
         assert fake_pool.most == workers + 1 and fake_pool.outstanding == 0
