@@ -1,17 +1,18 @@
 """Verifiers and statistics over prefix normal word listings.
 
 Includes the Gray-closeness checker (close: at most two positions go 1->0
-and at most two go 0->1), which checks a block of listing lines in a few
-big-int operations, exhaustive critical-prefix sums,
-prefix-normal-form equivalence classes, sampled critical prefixes of
-prefix normal forms, and the rejection-rate table for the two-phase
-membership tester's linear phase.  Exhaustive 2^n scans run numpy
-kernels over chunks of 2^16 words held in uint32, on a thread pool of at
-most one thread per core, and refuse to run above a configurable cap.
-numpy and the pool are imported only when a scan runs, so the other
-commands and ``import pnwords`` do not load them.
+and at most two go 0->1), which reads listing bytes (``feed_bytes``) and
+checks each run of whole lines in a few big-int operations, exhaustive
+critical-prefix sums, prefix-normal-form equivalence classes, sampled
+critical prefixes of prefix normal forms, and the rejection-rate table
+for the two-phase membership tester's linear phase.  Exhaustive 2^n
+scans run numpy kernels over chunks of 2^16 words held in uint32, on a
+thread pool of at most one thread per core, and refuse to run above a
+configurable cap.  numpy and the pool are imported only when a scan
+runs, so the other commands and ``import pnwords`` do not load them.
 """
 
+import io
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -39,6 +40,7 @@ class GrayViolation:
 @dataclass
 class GrayReport:
     pairs: int = 0
+    words: int = 0
     violations: list = field(default_factory=list)
 
     @property
@@ -91,12 +93,12 @@ def _lanes_close(block, w):
 
 
 class GrayChecker:
-    """Streaming checker; feed words one at a time, or blocks of lines
-    with feed_block, then finish().
+    """Streaming checker; feed words one at a time, whole lines with
+    feed_block or listing bytes with feed_bytes, then finish().
 
     Each word is parsed to an int once.  A pair that differs in at most
     two positions has p + q <= 2 and is always close, so (p, q) is
-    counted only for the other pairs.  ``pairs`` is set by finish().
+    counted only for the other pairs.  finish() sets ``words`` and ``pairs``.
     """
 
     def __init__(self, cyclic: bool = False):
@@ -106,6 +108,7 @@ class GrayChecker:
         self._prev = None  # (word, int value) of the last word fed
         self._index = 0
         self._wrapped = False
+        self._rest = []  # pieces of a line feed_bytes has not seen the end of
 
     def feed(self, word: str) -> None:
         """Check word against the last word fed.  Callers must pass 0/1
@@ -120,7 +123,7 @@ class GrayChecker:
             d = a ^ b
             if d.bit_count() > 2:
                 p, q = (a & d).bit_count(), (b & d).bit_count()
-                if p > 2 or q > 2:  # not gray_close(p, q)
+                if not gray_close(p, q):
                     self.report.violations.append(
                         GrayViolation(self._index - 1, u, word, p, q))
         self._prev = word, b
@@ -151,12 +154,39 @@ class GrayChecker:
                     self.feed(word)
         return k
 
+    def feed_bytes(self, data: bytes) -> None:
+        """Feed listing text, one word per line (LF or CRLF), cut at any
+        point.  Each run of whole lines goes to feed_block, and a run it
+        refuses line by line: a bad line raises ValueError with its line
+        number.  A last line without a newline waits for finish()."""
+        cut = data.rfind(b"\n") + 1
+        if cut:  # a line cut into many pieces is joined once: linear time
+            block = b"".join([*self._rest, data[:cut]])
+            self._rest = []
+            if not self.feed_block(block):
+                for line in io.BytesIO(block):
+                    self._feed_line(line)
+        self._rest.append(data[cut:])
+
+    def _feed_line(self, line: bytes) -> None:
+        try:
+            word = core.parse_word(line.decode())  # feed's int(word, 2) takes "0b01"
+            if not word:
+                raise ValueError("blank line")
+            self.feed(word)
+        except ValueError as exc:
+            raise ValueError(f"line {self._index + 1}: {exc}") from exc
+
     def finish(self) -> GrayReport:
-        """The report; a later call returns it again without a second
-        wrap-around pair."""
+        """The report, after feeding a last line feed_bytes holds; a later
+        call returns it again without a second wrap-around pair."""
+        if last := b"".join(self._rest):
+            self._rest = []
+            self._feed_line(last)
         if self.cyclic and self._index > 1 and not self._wrapped:
             self.feed(self._first)  # the wrap-around pair (last, first)
             self._wrapped = True
+        self.report.words = self._index - self._wrapped
         self.report.pairs = max(self._index - 1, 0)
         return self.report
 

@@ -17,7 +17,7 @@ def _pairwise_report(words, cyclic):
     pairs = list(zip(words, words[1:]))
     if cyclic and len(words) > 1:
         pairs.append((words[-1], words[0]))
-    report = analysis.GrayReport(pairs=len(pairs))
+    report = analysis.GrayReport(pairs=len(pairs), words=len(words))
     for index, (u, v) in enumerate(pairs):
         p, q = analysis.transposition_counts(u, v)
         if not analysis.gray_close(p, q):
@@ -226,6 +226,90 @@ class TestGrayBlocks:
         assert checker.feed_block(b"11000\n") == 0
         assert checker.feed_block(b"1110\n") == 1
         assert checker.finish() == analysis.verify_gray(["1000", "1100", "1110"])
+
+
+def _bytes_report(data, cyclic, size):
+    """GrayReport of feed_bytes on data in pieces of size bytes, or the
+    message of the ValueError it raised."""
+    checker = analysis.GrayChecker(cyclic=cyclic)
+    try:
+        for i in range(0, len(data), size):
+            checker.feed_bytes(data[i:i + size])
+        return checker.finish()
+    except ValueError as exc:
+        return str(exc)
+
+
+def _text_variants(words, rng):
+    """(name, listing text of words, line number of its error or None):
+    the plain text, CRLF lines, no final newline, and a blank, shorter or
+    \\xff line."""
+    i = rng.randrange(1, len(words) - 1)
+    lines = [w.encode() + b"\n" for w in words]
+    crlf = [line[:-1] + b"\r\n" if rng.random() < 0.3 else line for line in lines]
+    edits = {"blank": b"\n", "shorter": lines[i][1:], "xff": b"\xff" + lines[i][1:]}
+    return [("plain", b"".join(lines), None), ("crlf", b"".join(crlf), None),
+            ("no-final-newline", b"".join(lines)[:-1], None),
+            *((name, b"".join(lines[:i] + [line] + lines[i + 1:]), i + 1)
+              for name, line in edits.items())]
+
+
+class TestFeedBytes:
+    """feed_bytes reads listing text cut at any point: every cut gives the
+    report, or the ValueError message, of one call on the whole text."""
+
+    @pytest.mark.parametrize("cyclic", [False, True])
+    @pytest.mark.parametrize("n", range(10, 15))
+    def test_any_chunking_matches_one_call(self, n, cyclic):
+        words = _injected_listing(n, cyclic, n)
+        for name, data, error_line in _text_variants(words, random.Random(n)):
+            whole = _bytes_report(data, cyclic, len(data))
+            if error_line is None:
+                assert whole == _pairwise_report(words, cyclic), name
+            else:
+                assert whole.startswith(f"line {error_line}: "), (name, whole)
+            for size in (1, 2, 7, 64):
+                assert _bytes_report(data, cyclic, size) == whole, (name, size)
+
+    def test_a_short_listing_cut_at_every_offset(self):
+        words = _injected_listing(7, True, 0)
+        for name, data, _ in _text_variants(words, random.Random(7)):
+            whole = _bytes_report(data, True, len(data))
+            for cut in range(len(data) + 1):
+                checker = analysis.GrayChecker(cyclic=True)
+                try:
+                    checker.feed_bytes(data[:cut])
+                    checker.feed_bytes(data[cut:])
+                    got = checker.finish()
+                except ValueError as exc:
+                    got = str(exc)
+                assert got == whole, (name, cut)
+
+    @pytest.mark.parametrize("n", [255, 300])  # the kernel, and line by line
+    def test_lines_longer_than_four_pieces(self, n):
+        rng = random.Random(n)
+        x, words = rng.getrandbits(n), []
+        for _ in range(50):
+            for _ in range(rng.randrange(4)):
+                x ^= 1 << rng.randrange(n)
+            words.append(format(x, f"0{n}b"))
+        report = _bytes_report(_lines(words), False, n // 5)
+        assert report == _pairwise_report(words, False) and report.violations
+
+    def test_finish_twice_feeds_the_last_line_once(self):
+        checker = analysis.GrayChecker(cyclic=True)
+        checker.feed_bytes(b"0000\n1111\n10")
+        checker.feed_bytes(b"00")
+        first = copy.deepcopy(checker.finish())
+        assert checker.finish() == first == _pairwise_report(["0000", "1111", "1000"], True)
+        assert (first.words, first.pairs) == (3, 3)
+
+    @pytest.mark.parametrize("cyclic", [False, True])
+    @pytest.mark.parametrize("count", [0, 1, 2])
+    def test_words(self, count, cyclic):
+        report = _bytes_report(b"10\n11\n"[:3 * count], cyclic, 1)
+        assert report.words == count
+        assert report.pairs == (count if cyclic and count > 1 else max(count - 1, 0))
 
 
 EDGE_ARGUMENTS = {  # call -> ValueError message, or the result

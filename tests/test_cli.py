@@ -131,6 +131,31 @@ class TestCliSubprocess:
         code, out, _ = run_cli("verify-gray", "--stdin", stdin="0000\n1000\n1100")
         assert (code, out) == (0, "words=3 pairs=2 violations=0\n")
 
+    @pytest.mark.parametrize("argv, code", [
+        (["verify-gray", "--stdin"], 1), (["generate", "--n", "18"], 0)])
+    def test_reader_leaving_after_one_line_keeps_the_exit_code(self, argv, code, tmp_path):
+        rng = random.Random(16)  # random words: almost every pair is a violation
+        listing = tmp_path / "random.txt"
+        listing.write_text("".join(format(rng.getrandbits(16), "016b") + "\n"
+                                   for _ in range(20000)))
+        with listing.open("rb") as stdin:
+            proc = subprocess.Popen([sys.executable, "-m", "pnwords", *argv], stdin=stdin,
+                                    stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            proc.stdout.readline()
+            proc.stdout.close()  # far more than a pipe's buffer is still unwritten
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == code
+        assert err == b""
+
+    @pytest.mark.parametrize("argv, fd", [
+        (["verify-gray", "--stdin"], 0), (["generate", "--n", "5"], 1), (["class", "1101"], 1)])
+    def test_closed_stream_exits_2(self, argv, fd):
+        proc = subprocess.run([sys.executable, "-m", "pnwords", *argv],
+                              preexec_fn=lambda: os.close(fd), capture_output=True)
+        assert proc.returncode == 2
+        assert proc.stderr.decode().startswith("error: ")
+        assert proc.stderr.count(b"\n") == 1
+
     def test_member(self):
         assert run_cli("member", "10011")[:2] == (0, "false\n")
         assert run_cli("member", "11010", "--algo", "two-phase")[:2] == (0, "true\n")
@@ -350,6 +375,11 @@ class TestCliInProcess:
         assert cli.run(["verify-gray", "--n", "9", "--cyclic"]) == 0
         out = capsys.readouterr().out
         assert "words=125 pairs=125 violations=0" in out
+
+    def test_verify_gray_text_only_stdin_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("1000\n1100\n"))
+        assert cli.run(["verify-gray", "--stdin"]) == 2
+        assert capsys.readouterr() == ("", "error: stdin is closed or not a byte stream\n")
 
     def test_verify_gray_needs_source(self, capsys):
         assert cli.run(["verify-gray"]) == 2
