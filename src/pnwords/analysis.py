@@ -2,14 +2,15 @@
 
 Includes the Gray-closeness checker (close: at most two positions go 1->0
 and at most two go 0->1), which reads listing bytes (``feed_bytes``) and
-checks each run of whole lines in a few big-int operations, exhaustive
+checks each run of whole lines in a few big-int operations,
 critical-prefix sums, prefix-normal-form equivalence classes, sampled
 critical prefixes of prefix normal forms, and the rejection-rate table
-for the two-phase membership tester's linear phase.  Exhaustive 2^n
-scans run numpy kernels over chunks of 2^16 words held in uint32, on a
-thread pool of at most one thread per core, and refuse to run above a
-configurable cap.  numpy and the pool are imported only when a scan
-runs, so the other commands and ``import pnwords`` do not load them.
+for the two-phase membership tester's linear phase.  The sum over all
+2^n words is a closed form and the rejection table is counted by a
+dynamic program over run-length blocks; only ``equivalence_class``
+enumerates the 2^n words.  All three refuse n above a cap
+(``_check_cap``), and the two counts accept a ``jobs`` that has no
+effect.
 """
 
 import io
@@ -19,10 +20,9 @@ from fractions import Fraction
 from math import log2
 
 from . import core
-from .pnoracle import _cores, generate_all_pn
+from .pnoracle import generate_all_pn
 
 DEFAULT_EXHAUSTIVE_CAP = 20
-_CHUNK = 1 << 16  # words per kernel call: a uint32 temporary is 256 KiB
 
 
 # ---------------------------------------------------------------------------
@@ -226,18 +226,9 @@ class CrStats:
     mean: Fraction
 
 
-def _bit_length(a):
-    # exact bit lengths of the uint32 values in a: frexp converts them to
-    # float64 without rounding, and a = m * 2**e with 0.5 <= m < 1 (frexp(0)
-    # gives e = 0); e >= 0, so its int32 bits read as uint32 unchanged
-    import numpy as np
-    return np.frexp(a)[1].view(np.uint32)
-
-
-# The kernels hold each word in a uint32 register.  For n <= 30 the word,
-# its n-bit mask and every shift count (at most n) fit; a left shift drops
-# the bits carried past bit 31, and ``& mask`` keeps the n low bits, which
-# that drop never reaches.
+# The largest n the exhaustive functions accept, whatever the cap: the
+# API's range.  ``equivalence_class`` enumerates all 2^n words under it;
+# the two counts keep it so that every caller sees the same refusals.
 _SCAN_LIMIT = 30
 
 
@@ -250,50 +241,14 @@ def _check_cap(n, cap):
             f"to scan all 2^{n} words")
 
 
-def _chunks(n):
-    total = 1 << n
-    for lo in range(0, total, _CHUNK):
-        yield lo, min(lo + _CHUNK, total)
-
-
-def _map_chunks(kernel, n, jobs):
-    spans = list(_chunks(n))
-    workers = min(jobs, len(spans), _cores())
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return sum(pool.map(lambda span: kernel(*span), spans))
-    return sum(kernel(lo, hi) for lo, hi in spans)
-
-
-def _peel_block(n, y, rem):
-    # Split the leading block 1^s 0^t off words y that are left-aligned in
-    # an n-bit register with rem bits left; return (y, rem, s, t) after it.
-    # A word with no bits left reads as s = t = 0.
-    import numpy as np
-    mask = (1 << n) - 1
-    s = n - _bit_length(y ^ mask)
-    y = (y << s) & mask
-    rem = rem - s
-    t = np.minimum(n - _bit_length(y), rem)
-    return (y << t) & mask, rem - t, s, t
-
-
-def _cr_sum_chunk(n, lo, hi):
-    import numpy as np
-    _, _, s, t = _peel_block(n, np.arange(lo, hi, dtype=np.uint32), n)
-    return int(s.sum(dtype=np.int64) + t.sum(dtype=np.int64))
-
-
 def critical_prefix_sum(n: int, *, cap: int = DEFAULT_EXHAUSTIVE_CAP,
                         jobs: int = 1) -> int:
-    """Sum of the critical prefix length over all 2^n words of length n."""
+    """Sum of the critical prefix length over all 2^n words of length n:
+    3 * 2^n - (n + 3) for n >= 1.  ``jobs`` is accepted and unused."""
     if n < 0:
         raise ValueError("n must be non-negative")
     _check_cap(n, cap)
-    if n == 0:
-        return 0
-    return _map_chunks(lambda lo, hi: _cr_sum_chunk(n, lo, hi), n, jobs)
+    return 3 * (1 << n) - (n + 3) if n else 0
 
 
 def cr_stats_all_words(n: int, *, cap: int = DEFAULT_EXHAUSTIVE_CAP,
@@ -382,45 +337,65 @@ def _round3(num: int, den: int) -> str:
     return f"{scaled // 1000}.{scaled % 1000:03d}"
 
 
-def _phase1_chunk(n, lo, hi, combined):
-    # Peel the blocks of every word in [lo, hi) in lockstep.  After each
-    # round only the words that have bits left and are not rejected are
-    # kept; each of them resumes with a 1, so every round peels one whole
-    # block of every kept word.  Words used up by their first block enter
-    # one round as s = t = 0, which no test rejects, and are dropped.
-    import numpy as np
-    y, rem, s1, t1 = _peel_block(n, np.arange(lo, hi, dtype=np.uint32), n)
-    cr, prev_s, prev_t = s1 + t1, s1, t1
-    rejected = 0
-    while len(y):
-        y, rem, s, t = _peel_block(n, y, rem)
-        bad = s > s1
-        if combined:
-            bad |= (prev_s + prev_t + s <= cr) & (prev_s + s > s1)
-        rejected += int(np.count_nonzero(bad))
-        keep = (rem > 0) & ~bad
-        y, rem, s1 = y[keep], rem[keep], s1[keep]
-        if combined:
-            cr, prev_s, prev_t = cr[keep], s[keep], t[keep]
-    return rejected
+def _completions(r_max, s1, t1):
+    """A[r] for r = 0..r_max: the ways to complete r symbols so that the
+    linear phase passes every block, after a block (ps, pt) with pt >= t1
+    in a word whose first block is (s1, t1).
+
+    A next block (s, t) needs 1 <= s <= s1, and t = 0 only at the end.  In
+    combined mode it must also avoid s1 - ps < s <= s1 + t1 - ps - pt,
+    which is empty when pt >= t1; so N[r][ps][pt], the count after a
+    block (ps, pt), is needed only for pt < t1, and A[r] stands for every
+    other pt.  Trivial mode forbids only s > s1: its count is the one for
+    t1 = 1, where no pt < t1 is left.  P(r, s), the completions that start
+    with 1^s, is [s = r] (the last block) plus the N after (s, t) for
+    t < t1 plus CA, the prefix sums of A, for the t >= t1; S holds the
+    prefix sums of P over s, so each N is O(1).
+    """
+    A, CA, N = [1], [1], [None]
+    for r in range(1, r_max + 1):
+        top = min(s1, r)
+        S = [0] * (top + 1)
+        for s in range(1, top + 1):
+            p = s == r
+            for t in range(1, min(t1 - 1, r - s) + 1):
+                p += N[r - s - t][s][t] if r > s + t else 1
+            if r >= s + t1:
+                p += CA[r - s - t1]
+            S[s] = S[s - 1] + p
+        a = S[top]
+        A.append(a)
+        CA.append(CA[-1] + a)
+        # the P of the forbidden s in (s1 - ps, s1 + t1 - ps - pt] taken out of a
+        N.append([None] + [[None] + [a - S[min(s1 + t1 - ps - pt, top)] + S[s1 - ps]
+                                     if s1 - ps < top else a for pt in range(1, t1)]
+                           for ps in range(1, s1 + 1)])
+    return A
 
 
 def rejection_ratio(n: int, mode: str = "combined", *,
                     cap: int = DEFAULT_EXHAUSTIVE_CAP,
                     jobs: int = 1) -> RatioReport:
-    """Exhaustively count length-n words rejected by the linear phase.
+    """Count the length-n words rejected by the linear phase.
 
     ``trivial`` applies only the longest-1-run-must-be-a-prefix test;
-    ``combined`` adds the adjacent-block test.  The reported ratio is
-    n * passed / 2^n in exact integer arithmetic.
+    ``combined`` adds the adjacent-block test.  The words that pass are
+    counted by first block (s1, t1) with ``_completions``, not listed:
+    the n + 1 words 1^s 0^(n-s) are one block and always pass, and a word
+    that starts with 0 and holds a 1 never does.  The reported ratio is
+    n * passed / 2^n in exact integer arithmetic.  ``jobs`` is accepted
+    and unused.
     """
     if mode not in ("trivial", "combined"):
         raise ValueError(f"unknown mode {mode!r}")
     if n < 1:
         raise ValueError("n must be positive")
     _check_cap(n, cap)
-    combined = mode == "combined"
-    rejected = _map_chunks(lambda lo, hi: _phase1_chunk(n, lo, hi, combined),
-                           n, jobs)
-    passed = (1 << n) - rejected
+    passed = n + 1
+    for s1 in range(1, n - 1):
+        if mode == "combined":
+            passed += sum(_completions(n - s1 - t1, s1, t1)[-1] for t1 in range(1, n - s1))
+        else:  # nothing depends on t1: one table serves every first block
+            passed += sum(_completions(n - s1 - 1, s1, 1)[1:])
+    rejected = (1 << n) - passed
     return RatioReport(n, mode, rejected, passed, _round3(n * passed, 1 << n))

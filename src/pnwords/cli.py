@@ -14,12 +14,15 @@ passes the bytes to ``GrayChecker.feed_bytes``, which cuts them into
 lines and names a bad one; ``--stdin`` passes 64 KiB chunks and ``--n``
 the batches that ``generate`` would write.  Exit codes: 0 on success, 2
 on usage errors (bad words, out-of-range parameters, an ``--out`` file
-that cannot be opened, a closed stdin or stdout), 1 when a verification
-subcommand finds violations, also if its reader leaves before the report
-is written, and 130 after Ctrl-C.
+that cannot be opened, a closed stdin or stdout, a write that fails other
+than to a reader that has left), 1 when a verification subcommand finds
+violations, also if its reader leaves before the report is written, and
+130 after Ctrl-C.  ``run`` flushes stdout before it returns, so such a
+failure reaches its handler and not interpreter exit.
 """
 
 import argparse
+import os
 import sys
 import time
 from contextlib import nullcontext
@@ -248,19 +251,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _flush_stdout():
+    flush = getattr(sys.stdout, "flush", None)  # stdout may be closed (None) or write-only
+    if flush is not None:
+        flush()
+
+
 def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return exc.code
+    code = 0
     try:
-        return args.func(args)
-    except BrokenPipeError:
-        return 0
-    except (core.WordFormatError, ValueError) as exc:
+        code = args.func(args)
+        _flush_stdout()
+    except BrokenPipeError:  # the reader left: a result already known stands
+        return code
+    except (core.WordFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 def main() -> None:
@@ -268,4 +280,8 @@ def main() -> None:
         code = run()
     except KeyboardInterrupt:  # Ctrl-C: the shell's 128 + SIGINT, no traceback
         code = 130
+    try:  # what a failed flush left in the buffer would fail again at exit
+        _flush_stdout()
+    except OSError:  # already answered for: drop the rest quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(code)

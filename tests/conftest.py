@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from pnwords import pnoracle
+from pnwords import core, pnoracle
 
 
 def all_words(n):
@@ -22,6 +22,18 @@ def all_words(n):
     if n == 0:
         return [""]
     return [format(x, f"0{n}b") for x in range(1 << n)]
+
+
+def phase1_rejected_by_scan(n, mode):
+    """Length-n words that ``core.phase1_rejects`` rejects, one call per
+    word: the slow twin of ``analysis.rejection_ratio``."""
+    return sum(core.phase1_rejects(w, mode) for w in all_words(n))
+
+
+def cr_sum_by_scan(n):
+    """Sum of ``core.critical_prefix(w).cr`` over all length-n words: the
+    slow twin of ``analysis.critical_prefix_sum``."""
+    return sum(core.critical_prefix(w).cr for w in all_words(n)) if n else 0
 
 
 def words_of_weight(n, d):

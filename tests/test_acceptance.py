@@ -1,8 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Run with plain ``pytest``; the two slowest checks (the n=24 ratio cells
-and the n=26 growth trend) carry the ``slow`` marker but run by
-default.
+Run with plain ``pytest``; the slowest check (the n=26 growth trend)
+carries the ``slow`` marker but runs by default.
 """
 
 import random
@@ -121,10 +120,11 @@ def test_c06_critical_prefix_arithmetic():
            f"closed form and recurrence, {elapsed:.1f}s")
 
 
-# Expected three-decimal ratios from the deterministic exhaustive scan;
-# every cell is cross-checked against the per-word block implementation
-# in the regular suite.  The n=16 trivial cell is 172480/65536 =
-# 2.6318359375 exactly, hence 2.632 at three decimals.
+# Expected three-decimal ratios, first taken from an exhaustive scan of
+# all 2^n words and now counted by a dynamic program; the regular suite
+# checks the counts against the per-word block implementation.  The n=16
+# trivial cell is 172480/65536 = 2.6318359375 exactly, hence 2.632 at
+# three decimals.
 RATIOS_TRIVIAL = {10: "2.500", 12: "2.561", 14: "2.602", 16: "2.632",
                   18: "2.656", 20: "2.675", 22: "2.693", 24: "2.708"}
 RATIOS_COMBINED = {10: "2.168", 12: "2.142", 14: "2.121", 16: "2.106",
@@ -145,7 +145,6 @@ def test_c07_rejection_ratios_fast():
     report("C07a ratio-table-n10-22", ok, detail or f"both modes, {elapsed:.1f}s")
 
 
-@pytest.mark.slow
 def test_c07_rejection_ratios_n24_and_monotonicity():
     start = time.perf_counter()
     trivial24 = analysis.rejection_ratio(24, "trivial", cap=24).ratio

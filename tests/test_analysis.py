@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from pnwords import analysis, core, pnoracle
 
-from conftest import INT_SPELLINGS, LENGTH5_CLASSES, PNW_COUNTS, all_words, brute_run_length_blocks
+from conftest import (INT_SPELLINGS, LENGTH5_CLASSES, PNW_COUNTS, all_words,
+                      brute_run_length_blocks, cr_sum_by_scan, phase1_rejected_by_scan)
 
 
 def _pairwise_report(words, cyclic):
@@ -367,10 +368,9 @@ class TestCriticalPrefixSum:
         for n in range(1, 15):
             assert values[n] == 2 * values[n - 1] + (n + 1)
 
-    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("n", range(0, 17))
     def test_matches_per_word_scan(self, n):
-        expected = sum(core.critical_prefix(w).cr for w in all_words(n))
-        assert analysis.critical_prefix_sum(n) == expected
+        assert analysis.critical_prefix_sum(n) == cr_sum_by_scan(n)
 
     def test_cap_refusal(self):
         with pytest.raises(ValueError):
@@ -378,8 +378,8 @@ class TestCriticalPrefixSum:
         assert analysis.critical_prefix_sum(21, cap=21) == 3 * 2**21 - 24
 
     def test_jobs_identical(self):
+        # jobs is accepted for compatibility and has no effect
         assert analysis.critical_prefix_sum(16, jobs=4) == analysis.critical_prefix_sum(16)
-        # four chunks
         assert analysis.critical_prefix_sum(18, jobs=2) == analysis.critical_prefix_sum(18)
 
     def test_all_words_stats(self):
@@ -474,9 +474,9 @@ class TestRejectionRatio:
         assert analysis.rejection_ratio(12, "combined").ratio == "2.142"
 
     @pytest.mark.parametrize("mode", ["trivial", "combined"])
-    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("n", range(1, 17))
     def test_matches_per_word_phase1(self, n, mode):
-        rejected = sum(core.phase1_rejects(w, mode) for w in all_words(n))
+        rejected = phase1_rejected_by_scan(n, mode)
         report = analysis.rejection_ratio(n, mode)
         assert report.rejected == rejected
         assert report.passed == (1 << n) - rejected
@@ -495,8 +495,20 @@ class TestRejectionRatio:
         with pytest.raises(ValueError):
             analysis.rejection_ratio(8, "bogus")
 
+    # n = 26 agrees with a numpy scan of all 2^26 words that this module
+    # once ran; n = 30 is the dynamic program's own count
+    @pytest.mark.parametrize("n, mode, rejected, passed, ratio", [
+        (26, "trivial", 60085302, 7023562, "2.721"),
+        (26, "combined", 61793183, 5315681, "2.059"),
+        (30, "trivial", 975559158, 98182666, "2.743"),
+        (30, "combined", 1000493876, 73247948, "2.047"),
+    ])
+    def test_pinned_cells(self, n, mode, rejected, passed, ratio):
+        report = analysis.rejection_ratio(n, mode, cap=n)
+        assert (report.rejected, report.passed, report.ratio) == (rejected, passed, ratio)
+
     def test_jobs_identical(self):
-        for n, jobs in ((14, 3), (18, 2)):  # one chunk, four chunks
+        for n, jobs in ((14, 3), (18, 2)):  # jobs has no effect
             for mode in ("trivial", "combined"):
                 a = analysis.rejection_ratio(n, mode, jobs=jobs)
                 b = analysis.rejection_ratio(n, mode)
@@ -509,71 +521,18 @@ class TestRejectionRatio:
 
 
 class TestScanKernels:
-    """The chunk kernels across chunk boundaries and at the top of the
-    supported range, against the scalar twins in ``core``."""
-
-    def test_bit_length_is_exact(self):
-        import numpy as np
-
-        values = [0, *(v for k in range(1, 31) for v in (1 << (k - 1), (1 << k) - 1)),
-                  *random.Random(31).sample(range(1 << 30), 1000)]
-        got = analysis._bit_length(np.array(values, dtype=np.uint32))
-        assert got.tolist() == [v.bit_length() for v in values]
+    """The counted statistics against the scalar twins in ``core``, and no
+    pool started where one core is usable."""
 
     @pytest.mark.parametrize("n", range(1, 13))
-    def test_small_chunks(self, monkeypatch, n):
-        monkeypatch.setattr(analysis, "_CHUNK", 1 << 6)
+    def test_small_chunks(self, n):
         for mode in ("trivial", "combined"):
-            rejected = sum(core.phase1_rejects(w, mode) for w in all_words(n))
-            assert analysis.rejection_ratio(n, mode).rejected == rejected
+            assert analysis.rejection_ratio(n, mode).rejected == phase1_rejected_by_scan(n, mode)
         assert analysis.critical_prefix_sum(n) == 3 * 2**n - (n + 3)
 
-    @pytest.mark.parametrize("lo", [0, (1 << 30) - 4096,
-                                    random.Random(30).randrange(0, (1 << 30) - 4096)])
-    def test_top_of_range(self, lo):
-        # words of length 30 shifted left past bit 31 of the uint32 register
-        n, hi = 30, lo + 4096
-        words = [format(x, f"0{n}b") for x in range(lo, hi)]
-        for mode in ("trivial", "combined"):
-            rejected = sum(core.phase1_rejects(w, mode) for w in words)
-            assert analysis._phase1_chunk(n, lo, hi, mode == "combined") == rejected
-        assert analysis._cr_sum_chunk(n, lo, hi) == sum(
-            core.critical_prefix(w).cr for w in words)
-
-    def test_pool_threads_bounded_by_cores(self, monkeypatch):
-        import concurrent.futures
-
-        made = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                made.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        monkeypatch.setattr(analysis, "_CHUNK", 1 << 6)
-        want = analysis.rejection_ratio(12, "combined").rejected
-        assert analysis.rejection_ratio(12, "combined", jobs=10**6).rejected == want
-        assert analysis.critical_prefix_sum(12, jobs=10**6) == 3 * 2**12 - 15
-        assert made == [3, 3]
-        assert analysis.critical_prefix_sum(6, jobs=10**6) == 3 * 2**6 - 9  # one chunk
-        monkeypatch.delattr(os, "sched_getaffinity")  # no affinity mask: the CPU count
-        monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one core
-        assert analysis.critical_prefix_sum(12, jobs=10**6) == 3 * 2**12 - 15
-        assert made == [3, 3]
-
     def test_one_usable_core_starts_no_pool(self, monkeypatch):
-        # taskset -c 0 on a many-core machine: neither the scan's thread
-        # pool nor the counting run's process pool is constructed
+        # taskset -c 0 on a many-core machine: no thread pool, and not the
+        # counting run's process pool, is constructed
         import concurrent.futures
         import multiprocessing
 
@@ -589,7 +548,6 @@ class TestScanKernels:
         monkeypatch.setattr(multiprocessing, "get_context", refuse("processes"))
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(analysis, "_CHUNK", 1 << 6)
         monkeypatch.setattr(pnoracle, "_POOL_MIN_N", 0)
         assert analysis.critical_prefix_sum(12, jobs=4) == 3 * 2**12 - 15
         assert analysis.count_pnw(12) == PNW_COUNTS[11]

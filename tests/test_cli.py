@@ -22,6 +22,19 @@ def run_cli(*args, stdin=None):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def _environ(unbuffered):
+    """os.environ with PYTHONUNBUFFERED set, or removed so that a
+    redirected stdout is block-buffered."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                    reason="no /dev/full to refuse writes")
+
+
 class ClosingPipe(io.StringIO):
     """stdout whose reader goes away after ``limit`` characters."""
 
@@ -41,6 +54,7 @@ class TestCliSubprocess:
         assert code == 0 and out.strip() == "41"
 
     def test_numpy_and_pool_load_only_for_scans(self):
+        # no command loads them: stats ratio counts, it does not scan
         script = (
             "import contextlib, io, sys\n"
             "import pnwords.cli\n"
@@ -55,7 +69,7 @@ class TestCliSubprocess:
         proc = subprocess.run([sys.executable, "-c", script],
                               input=listing, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "[] [] [] ['numpy']\n"
+        assert proc.stdout == "[] [] [] []\n"
 
     def test_bench_imports_the_pool_before_its_first_row(self):
         # the one-off import would otherwise land in the first pooled row's time
@@ -155,6 +169,38 @@ class TestCliSubprocess:
         assert proc.returncode == 2
         assert proc.stderr.decode().startswith("error: ")
         assert proc.stderr.count(b"\n") == 1
+
+    @needs_dev_full
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv, stdin", [
+        (["generate", "--n", "3"], None), (["generate", "--n", "18"], None),
+        (["stats", "ratio", "--n", "12"], None), (["verify-gray", "--stdin"], b"0000\n1111\n")],
+        ids=["generate-3", "generate-18", "stats-ratio", "verify-gray"])
+    def test_write_error_exits_2(self, argv, stdin, unbuffered):
+        # a full disk is not a violation: one error line, no traceback
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run([sys.executable, "-m", "pnwords", *argv], input=stdin,
+                                  stdout=full, stderr=subprocess.PIPE,
+                                  env=_environ(unbuffered))
+        assert proc.returncode == 2
+        assert proc.stderr.decode().startswith("error: ")
+        assert proc.stderr.count(b"\n") == 1
+
+    @pytest.mark.parametrize("argv, stdin, code", [
+        (["verify-gray", "--stdin"], b"0000\n1111\n", 1),
+        (["verify-gray", "--stdin"], b"0000\n1000\n", 0),
+        (["count", "--n", "5"], None, 0)], ids=["violation", "clean", "count"])
+    def test_reader_gone_before_the_first_write_keeps_the_exit_code(self, argv, stdin, code):
+        # the whole output waits in stdout's buffer until the flush
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "pnwords", *argv], input=stdin,
+                                  stdout=write, stderr=subprocess.PIPE,
+                                  env=_environ(unbuffered=False))
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (code, b"")
 
     def test_member(self):
         assert run_cli("member", "10011")[:2] == (0, "false\n")
