@@ -37,6 +37,7 @@ from .bubble import (
 from .pnoracle import (
     GenerationInvariantError,
     GenerationStats,
+    count_all_pn,
     gen_bubble_pn,
     generate_all_pn,
     generate_all_pn_cyclic,

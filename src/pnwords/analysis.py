@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import log2
 
 from . import core
-from .pnoracle import generate_all_pn
+from .pnoracle import count_all_pn
 
 DEFAULT_EXHAUSTIVE_CAP = 20
 
@@ -204,9 +204,9 @@ def verify_gray(words, cyclic: bool = False) -> GrayReport:
 # Counting and critical prefix statistics
 
 def count_pnw(n: int) -> int:
-    """Number of prefix normal words of length n (counting sink over the
-    Gray code generator)."""
-    return generate_all_pn(n).count
+    """Number of prefix normal words of length n (the Gray code walker,
+    counting with its subtree memo)."""
+    return count_all_pn(n).count
 
 
 def pnw_deficit(n: int) -> tuple[int, float]:
@@ -258,7 +258,7 @@ def cr_stats_all_words(n: int, *, cap: int = DEFAULT_EXHAUSTIVE_CAP,
 
 
 def cr_stats_pn(n: int) -> CrStats:
-    stats = generate_all_pn(n)
+    stats = count_all_pn(n)
     return CrStats(n, "prefix-normal", stats.count, stats.cr_sum, stats.avg_cr)
 
 

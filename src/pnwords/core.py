@@ -137,11 +137,17 @@ def _pnf(w):
 
 def is_prefix_normal(w: str) -> bool:
     """Membership test: max_ones(w)[k] equals the number of 1s in the
-    length-k prefix for every k.  Stops at the first k that fails."""
+    length-k prefix for every k.  Stops at the first k that fails, and
+    refuses a word with a 1-run longer than its first before that."""
     return _is_prefix_normal(_check_word(w))
 
 
 def _is_prefix_normal(w):
+    # a 1-run longer than the first is a window with more 1s than the
+    # prefix of its length: refuse before building any lane
+    first = len(w) - len(w.lstrip("1"))
+    if "1" * (first + 1) in w:
+        return False
     return all(map(eq, _window_max(*_lanes(w), len(w)), accumulate(map(int, w))))
 
 

@@ -23,6 +23,29 @@ the state before it was entered.  Both references run on ``core``'s
 bit-parallel window-maxima kernel, which shares no code with the upkeep
 of ``f`` here.
 
+A run that only counts (``count_all_pn``, which serves ``count``,
+``stats deficit`` and the prefix normal line of ``stats cr``) keeps a
+memo of subtree counters.  Prefix normal words form a bubble language, so
+the subtree of a node 1^s 0^t gamma holds words that all end in gamma,
+and the walk below the node reads little of gamma and of f.  At a node
+with s, t > 0 and c = s + t <= ``_MEMO_CR`` the key is (s, the first
+c - 2 symbols of gamma, f[1..c-1]), and the value is what the node's
+subtree, the node included, adds to the five counters.  The key holds
+all that the subtree reads.  The node's bound loop reads ``buf`` up to
+position 2c - 2 and f up to c - 1.  Child i, at x = s + i <= c, has
+c' = x - 1 <= c - 1, and the edge into it builds the child's key from
+the parent's f[1..x-2] and ``buf`` up to 2x - 3, both inside the
+parent's key; so, by induction on c, equal keys root subtrees with equal
+counters.  Nothing in it depends on n or d, so one memo serves every
+class of a serial run.  The walk looks the key up on the edge into the
+node, once f is updated: if it is stored, the walk adds the stored
+counters and undoes the edge at once; if not, it enters the node and
+stores the change in the counters from then to the node's return.  The
+memo is off whenever a ``visit``, ``write``, ``bound`` or ``validate``
+is given, so every listing, every validated run and ``bench`` walk every
+node, and pay for the memo one comparison per edge and one test per
+node.
+
 The weight classes share no state, so once n is large enough for it to
 pay, ``_run_weights`` walks them in a pool of forked processes, one per
 usable core, in listing order with one class per worker of lookahead.
@@ -30,7 +53,8 @@ A counting run (no ``visit`` sink) sums their counters; a listing run
 (a ``write``, from the CLI) also gets each class's text, which its worker
 renders through ``bubble._lines`` into 64 KiB batches of whole lines,
 and the parent writes the batches as they are, in listing order.  A
-library call with a ``visit`` sink stays serial.
+memoized count gives each class a memo of its own in its worker, so the
+parent holds none.  A library call with a ``visit`` sink stays serial.
 """
 
 import os
@@ -74,7 +98,15 @@ def _check_order(order: str) -> None:
         raise ValueError(f"order must be one of {_ORDERS}")
 
 
-def _gen_weight(n: int, d: int, visit, order: str, validate: bool, bound=None):
+# Largest critical prefix length s + t of a memoized node (see the module
+# docstring).  The memo's size is bounded by it, not by n.  Serial counts
+# at n = 28 on one core: 10 gives 41k entries, a 25 MiB peak and 6.0 s;
+# 12 gives 168k entries, 57 MiB and 4.2 s; 8 gives 3k entries, 16 MiB and
+# 11.9 s.  10 keeps the memo within 10 MiB of the walk's own memory.
+_MEMO_CR = 10
+
+
+def _gen_weight(n: int, d: int, visit, order: str, validate: bool, bound=None, memo=None):
     """Walk the weight-d class of length-n words from the root 1^d 0^(n-d).
 
     order: "coolex" (post-order), "visit-first" (pre-order, children left
@@ -92,6 +124,10 @@ def _gen_weight(n: int, d: int, visit, order: str, validate: bool, bound=None):
     (everything past the leading 1-run and 0-run) padded with zeros; it
     is meaningful for i up to s+t and starts all zero at the root.
 
+    ``memo``, a dict, turns on the subtree-counter memo (see the module
+    docstring) for a run with no ``visit``, ``bound`` or ``validate``;
+    it may be shared by runs of any n and d.
+
     One loop over a stack of frames (s, t, i, j, saved): parent node
     1^s 0^t gamma, current child i, the parent's bound j, and the f
     segment the child's update overwrote.
@@ -105,8 +141,11 @@ def _gen_weight(n: int, d: int, visit, order: str, validate: bool, bound=None):
     pre = order != "coolex"
     step = -1 if order == "reverse" else 1
     pn = bound is None
+    # an edge into child i of 1^s 0^t gamma leads to a node with s + t = x - 1
+    memo_x = _MEMO_CR + 1 if memo is not None and visit is None and pn and not validate else 0
     count = cr_sum = calls = reads = swaps = 0
     stack = []
+    pending = []  # (depth, key, counters at entry) of each memoized node being walked
     saved = None
     entered = []  # validate only: (buf, f) before each child's swap
     naive = bubble.naive_oracle(core.is_prefix_normal) if validate else None
@@ -169,6 +208,21 @@ def _gen_weight(n: int, d: int, visit, order: str, validate: bool, bound=None):
                         fi += 1
                     reads += x + 1
                 swaps += 2
+                if x <= memo_x and s > 1:  # the child has s, t > 0 and s + t = x - 1
+                    key = (s - 1, bytes(buf[x:2 * x - 3]) + bytes(f[1:x - 1]))
+                    done = memo.get(key)
+                    if done is not None:  # walked before: add its counters, undo the edge
+                        dc, dcr, dcalls, dreads, dswaps = done
+                        count += dc
+                        cr_sum += dcr
+                        calls += dcalls
+                        reads += dreads
+                        swaps += dswaps
+                        f[1:x + 2] = saved
+                        buf[s] = 1
+                        buf[x] = 0
+                        continue
+                    pending.append((len(stack) + 1, key, count, cr_sum, calls, reads, swaps))
                 stack.append((s, t, i, j, saved))
                 s, t = s - 1, i
                 break
@@ -177,6 +231,10 @@ def _gen_weight(n: int, d: int, visit, order: str, validate: bool, bound=None):
                 cr_sum += s + t
                 if visit is not None:
                     visit(word)
+            if pending and pending[-1][0] == len(stack):  # a memoized subtree is done
+                _, key, c0, cr0, calls0, reads0, swaps0 = pending.pop()
+                memo[key] = (count - c0, cr_sum - cr0, calls - calls0, reads - reads0,
+                             swaps - swaps0)
             if not stack:
                 return count, cr_sum, calls, reads, swaps
             s, t, i, j, saved = stack.pop()  # back up to the parent
@@ -236,17 +294,25 @@ def _fork_pool(workers):
         return None
 
 
-def _walk_class(n, d, order, validate, render):
+def _walk(n, d, visit, order, validate, memo):
+    """``_gen_weight``, passed a memo only when there is one."""
+    if memo is None:
+        return _gen_weight(n, d, visit, order, validate)
+    return _gen_weight(n, d, visit, order, validate, memo=memo)
+
+
+def _walk_class(n, d, order, validate, render, memoize=False):
     """One pool task: the counters of the weight-d class and, when render
-    is set, its listing as the text batches of ``bubble._lines``."""
+    is set, its listing as the text batches of ``bubble._lines``.  With
+    memoize, the class gets a memo of its own."""
     batches = []
     sink, flush = bubble._lines(batches.append)
-    counts = _gen_weight(n, d, sink if render else None, order, validate)
+    counts = _walk(n, d, sink if render else None, order, validate, {} if memoize else None)
     flush()
     return counts, batches
 
 
-def _run_weights(n, classes, visit, validate, write=None):
+def _run_weights(n, classes, visit, validate, write=None, memoize=False):
     """Walk the (weight, order) classes and sum their counters.
 
     Library callers pass a ``visit`` sink, or None to only count; the CLI
@@ -258,7 +324,8 @@ def _run_weights(n, classes, visit, validate, write=None):
     ahead of the one being consumed, so a rendering parent holds few
     classes, and their batches are written as they are, in listing order.
     Otherwise, or when no pool can be started, the classes are walked
-    serially."""
+    serially.  memoize (counting runs only) gives a serial run one memo
+    for all classes and a pooled run one memo per class, in its worker."""
     workers = min(_cores(), len(classes))
     pool = None
     if (n >= _POOL_MIN_N and workers > 1  # checked before the multiprocessing import
@@ -267,7 +334,8 @@ def _run_weights(n, classes, visit, validate, write=None):
     if pool is None:
         if write is not None:
             visit, flush = bubble._lines(write)
-        results = [_gen_weight(n, d, visit, order, validate) for d, order in classes]
+        memo = {} if memoize else None
+        results = [_walk(n, d, visit, order, validate, memo) for d, order in classes]
         if write is not None:
             flush()
     else:
@@ -276,7 +344,8 @@ def _run_weights(n, classes, visit, validate, write=None):
         with pool:
             pending = deque()
             for k, (d, order) in enumerate(classes, 1):
-                pending.append(pool.apply_async(_walk_class, (n, d, order, validate, render)))
+                pending.append(pool.apply_async(_walk_class,
+                                                   (n, d, order, validate, render, memoize)))
                 while len(pending) > (workers if k < len(classes) else 0):  # all after the last
                     counts, batches = pending.popleft().get()
                     results.append(counts)
@@ -314,6 +383,12 @@ def generate_all_pn(n: int, visit=None, *, order: str = "coolex",
     the weight boundary.
     """
     return _run_weights(n, _classes(n, order), visit, validate)
+
+
+def count_all_pn(n: int) -> GenerationStats:
+    """The ``GenerationStats`` of ``generate_all_pn(n)``, all five counters,
+    from a walk that enters each memoized subtree state once."""
+    return _run_weights(n, _classes(n), None, False, memoize=True)
 
 
 def generate_all_pn_cyclic(n: int, visit=None, *,

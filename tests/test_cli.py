@@ -450,6 +450,13 @@ class TestCliInProcess:
         assert "population=all-words n=10 words=1024 cr_total=3059" in out
         assert "population=prefix-normal n=10 words=218" in out
 
+    def test_stats_cr_prefix_normal_line_n20(self, capsys):
+        # the memoized count must give the walker's cr_sum, not only its count
+        assert cli.run(["stats", "cr", "--n", "20"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == (
+            "population=prefix-normal n=20 words=87024 cr_total=498170 "
+            "cr_mean=5.724512778084207")
+
     def test_stats_deficit(self, capsys):
         assert cli.run(["stats", "deficit", "--n", "12"]) == 0
         assert "pnw=697" in capsys.readouterr().out

@@ -1,6 +1,8 @@
 import random
 import subprocess
 import sys
+from itertools import accumulate
+from operator import eq
 
 import pytest
 from hypothesis import given, settings
@@ -177,6 +179,35 @@ class TestIsPrefixNormal:
         assert excess[0] == n // 2 and (n % 2 or excess == [n // 2])
         assert core.is_prefix_normal(w) is False
         assert core.is_prefix_normal(w[:-1] + "0") is True
+
+
+    @pytest.mark.parametrize("n", range(0, 13))
+    def test_early_rejection_agrees_with_the_lane_kernel(self, n):
+        for w in all_words(n):
+            assert core.is_prefix_normal(w) == lane_kernel_is_prefix_normal(w), w
+
+    def test_early_rejection_on_long_words(self):
+        # random words (almost all refused by a later, longer 1-run), and
+        # words whose first 1-run is their longest, which only the kernel
+        # can decide
+        rng = random.Random(18)
+        for n in (32, 100, 1024):
+            for _ in range(30):
+                k = rng.randint(1, 6)
+                runs = "".join(rng.choice(["0", "1" * rng.randint(1, k)]) for _ in range(n))
+                for w in ("".join(rng.choice("01") for _ in range(n)),
+                          ("1" * k + "0" + runs)[:n], core.pnf(runs[:n])):
+                    assert core.is_prefix_normal(w) == lane_kernel_is_prefix_normal(w), w
+
+    def test_longer_later_run_builds_no_lanes(self, lanes_built):
+        assert core.is_prefix_normal("1" * 5 + "0" * 1000 + "1" * 6) is False
+        assert core.is_prefix_normal("0" * 10 + "1") is False
+        assert lanes_built == []
+
+
+def lane_kernel_is_prefix_normal(w):
+    """The kernel test alone, without the early rejection."""
+    return all(map(eq, core._window_max(*core._lanes(w), len(w)), accumulate(map(int, w))))
 
 
 class TestTablesAgainstBruteForce:

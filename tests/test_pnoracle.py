@@ -319,6 +319,67 @@ class TestStatsAndInstrumentation:
         assert stats.reads_per_word > 0
 
 
+@pytest.fixture
+def walks(monkeypatch):
+    """The memo passed to each ``_gen_weight`` call, or None."""
+    memos = []
+    real = pnoracle._gen_weight
+
+    def spy(*args, **kwargs):
+        memos.append(kwargs.get("memo"))
+        return real(*args, **kwargs)
+    monkeypatch.setattr(pnoracle, "_gen_weight", spy)
+    return memos
+
+
+class TestSubtreeMemo:
+    """count_all_pn walks each memoized subtree state once and must return
+    every counter of the full walk."""
+
+    @pytest.mark.parametrize("n", sorted(COUNTERS))
+    def test_counters_match_recorded_table(self, monkeypatch, n):
+        monkeypatch.setattr(pnoracle, "_cores", lambda: 1)  # serial: one memo for all classes
+        assert counters(pnoracle.count_all_pn(n)) == COUNTERS[n]
+
+    @pytest.mark.parametrize("order", ("coolex", "visit-first", "reverse"))
+    def test_keys_hold_for_any_length_and_weight(self, order):
+        # one memo filled by n = 14 and reused for n = 17, class by class
+        memo = {}
+        for n in (14, 17):
+            for d in range(n + 1):
+                assert (pnoracle._gen_weight(n, d, None, order, False, memo=memo)
+                        == pnoracle._gen_weight(n, d, None, order, False)), (n, d)
+        assert memo and all(len(k) + 3 <= 2 * pnoracle._MEMO_CR for _, k in memo)
+
+    def test_memo_is_off_with_a_sink_an_oracle_or_validation(self):
+        memo = {}
+        pnoracle._gen_weight(12, 6, lambda word: None, "coolex", False, memo=memo)
+        pnoracle._gen_weight(12, 6, None, "coolex", True, memo=memo)
+        pnoracle._gen_weight(12, 6, None, "coolex", False, lambda s, t, w: 0, memo=memo)
+        assert memo == {}
+
+    def test_counting_commands_pass_a_memo(self, walks, capsys):
+        from pnwords import cli
+        for argv in (["count", "--n", "9"], ["stats", "deficit", "--n", "9"],
+                     ["stats", "cr", "--n", "9"]):
+            walks.clear()
+            assert cli.run(argv) == 0
+            assert len(walks) == 10 and all(m is walks[0] for m in walks), argv
+            assert isinstance(walks[0], dict) and walks[0]
+
+    def test_bench_generate_and_validation_walk_every_node(self, walks, capsys):
+        from pnwords import cli
+        assert cli.run(["bench", "--n-min", "8", "--n-max", "9"]) == 0
+        assert cli.run(["generate", "--n", "9"]) == 0
+        assert cli.run(["verify-gray", "--n", "9"]) == 0
+        pnoracle.generate_all_pn(9)
+        pnoracle.generate_all_pn(9, validate=True)
+        pnoracle.generate_all_pn_cyclic(9)
+        pnoracle.gen_bubble_pn(9, 4)
+        assert len(walks) == 9 + 10 + 10 + 10 + 10 + 10 + 10 + 1
+        assert walks == [None] * len(walks)
+
+
 @needs_fork_pool
 class TestWeightPool:
     """A counting run (no sink) walks its weight classes in a process pool
@@ -331,6 +392,11 @@ class TestWeightPool:
         assert counters(pnoracle.generate_all_pn_cyclic(n)) == COUNTERS[n]
         assert counters(pnoracle.generate_all_pn(n, validate=True)) == COUNTERS[n]
         assert pooled == ([2] * 4 if n else [])  # n = 0 has one class
+
+    @pytest.mark.parametrize("n", sorted(COUNTERS))
+    def test_memoized_count_matches_recorded_table(self, pooled, n):
+        assert counters(pnoracle.count_all_pn(n)) == COUNTERS[n]
+        assert pooled == ([2] if n else [])
 
     def test_spawn_start_method(self, tmp_path):
         # a script with no __main__ guard: spawned workers would import it
@@ -478,6 +544,13 @@ class TestPoolLoop:
         assert counters(pnoracle._run_weights(12, classes, None, False)) == COUNTERS[12]
         assert fake_pool.submitted == classes
         assert fake_pool.most == workers + 1 and fake_pool.outstanding == 0
+
+    def test_memoized_counting_gives_each_class_its_own_memo(self, fake_pool, monkeypatch,
+                                                             walks):
+        monkeypatch.setattr(pnoracle, "_cores", lambda: 2)
+        assert counters(pnoracle.count_all_pn(12)) == COUNTERS[12]
+        assert fake_pool.submitted == pnoracle._classes(12)
+        assert len(walks) == 13 and len({id(memo) for memo in walks}) == 13
 
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("order, cyclic", [("coolex", False), ("visit-first", False),
