@@ -9,8 +9,8 @@ for the two-phase membership tester's linear phase.  The sum over all
 2^n words is a closed form and the rejection table is counted by a
 dynamic program over run-length blocks; only ``equivalence_class``
 enumerates the 2^n words.  All three refuse n above a cap
-(``_check_cap``), and the two counts accept a ``jobs`` that has no
-effect.
+(``_check_cap``), and only ``equivalence_class`` refuses n > 30 under
+any cap; the two counts accept a ``jobs`` that has no effect.
 """
 
 import io
@@ -226,19 +226,17 @@ class CrStats:
     mean: Fraction
 
 
-# The largest n the exhaustive functions accept, whatever the cap: the
-# API's range.  ``equivalence_class`` enumerates all 2^n words under it;
-# the two counts keep it so that every caller sees the same refusals.
+# The largest n that ``equivalence_class``, which enumerates all 2^n
+# words, accepts whatever the cap.  The two counts take any n under an
+# explicit cap.
 _SCAN_LIMIT = 30
 
 
 def _check_cap(n, cap):
-    if n > min(cap, _SCAN_LIMIT):
-        if n > _SCAN_LIMIT:
-            raise ValueError(f"exhaustive scans support n <= {_SCAN_LIMIT}")
+    if n > cap:
         raise ValueError(
             f"n={n} above the exhaustive cap {cap}; raise cap= explicitly "
-            f"to scan all 2^{n} words")
+            f"to cover all 2^{n} words")
 
 
 def critical_prefix_sum(n: int, *, cap: int = DEFAULT_EXHAUSTIVE_CAP,
@@ -303,6 +301,8 @@ def equivalence_class(w: str, *, cap: int = DEFAULT_EXHAUSTIVE_CAP) -> set[str]:
     if not core.is_prefix_normal(w):
         raise ValueError(f"{w!r} is not prefix normal")
     n = len(w)
+    if n > _SCAN_LIMIT:
+        raise ValueError(f"exhaustive scans support n <= {_SCAN_LIMIT}")
     _check_cap(n, cap)
     if n == 0:
         return {""}

@@ -14,9 +14,12 @@ oracle and two closure checkers.
 
 Sinks receive a read-only memoryview of 0/1 byte values that is only
 valid during the visit call (the underlying word mutates afterwards).
-``_lines`` is the listing's one renderer: the CLI and the pool workers
-turn visited words into text, one word per line, only through it.
+``_lines`` is the listing's one batch and renderer: the walker, the
+simple generator and the pool workers turn visited words into text, one
+word per line, only through it.
 """
+
+from typing import Callable, NamedTuple
 
 from .core import _check_word
 
@@ -30,11 +33,24 @@ def word_str(view) -> str:
     return bytes(view).translate(_TO_ASCII).decode("ascii")
 
 
-def _lines(write):
-    """(sink, flush) that pass visited words to write as text, one word
-    per line, in batches of whole lines of about _BATCH_BYTES: sink takes
-    one word's 0/1 view, and flush passes on what sink holds."""
-    acc = bytearray()  # 0/1 bytes and newlines, rendered once per batch
+class Lines(NamedTuple):
+    """A listing's text on its way to ``write``, built by ``_lines``."""
+
+    acc: bytearray  # the batch: 0/1 bytes and newlines, rendered once
+    sink: Callable  # appends one visited word's 0/1 view and a newline
+    spill: Callable  # passes the batch on once it holds _BATCH_BYTES
+    flush: Callable  # passes on whatever the batch holds
+
+
+def _lines(write) -> Lines:
+    """The ``Lines`` that pass visited words to write as text, one word
+    per line, in batches of whole lines of about _BATCH_BYTES.
+
+    sink checks no size: the producer calls spill between lines, at points
+    of its own, and flush at its end.  A producer may also append whole
+    lines to acc itself (the walker copies memoized subtrees) and slice
+    acc back between its spills."""
+    acc = bytearray()
     extend, append = acc.extend, acc.append
 
     def flush():
@@ -42,13 +58,15 @@ def _lines(write):
             write(word_str(acc))
             acc.clear()
 
-    def sink(view):
-        extend(view)
-        append(10)  # "\n"
+    def spill():
         if len(acc) >= _BATCH_BYTES:
             flush()
 
-    return sink, flush
+    def sink(view):
+        extend(view)
+        append(10)  # "\n"
+
+    return Lines(acc, sink, spill, flush)
 
 
 class Collector:

@@ -8,7 +8,10 @@ after the first batch.  Every listing but ``--algo simple`` makes one
 ``pnoracle._run_weights`` call with ``out.write``, which renders a full
 listing with 20 <= n <= 24 one weight class per forked worker, on every
 usable core, and writes the workers' batches as they are, in listing
-order; ``--weight`` and other n stream from one process.
+order; ``--weight`` and other n stream from one process.  These
+listings, and ``verify-gray --n``, copy the rows of memoized subtrees
+instead of walking them again (see ``pnoracle``); the library's
+``visit`` sinks, ``validate`` and ``bench`` walk every node.
 ``verify-gray`` holds no reader either: it only opens its source and
 passes the bytes to ``GrayChecker.feed_bytes``, which cuts them into
 lines and names a bad one; ``--stdin`` passes 64 KiB chunks and ``--n``
@@ -63,9 +66,9 @@ def _cmd_generate(args):
         raise ValueError("--algo simple cannot be combined with --weight or --order")
     with _open_out(args) as out:
         if args.algo == "simple":
-            sink, flush = bubble._lines(out.write)
-            pnoracle.simple_generate_pn(args.n, sink)
-            flush()
+            lines = bubble._lines(out.write)
+            pnoracle.simple_generate_pn(args.n, lines.sink, spill=lines.spill)
+            lines.flush()
         else:
             classes = ([(args.weight, args.order)] if args.weight is not None
                        else pnoracle._classes(args.n, args.order, args.cyclic))

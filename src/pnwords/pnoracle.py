@@ -24,27 +24,39 @@ bit-parallel window-maxima kernel, which shares no code with the upkeep
 of ``f`` here.
 
 A run that only counts (``count_all_pn``, which serves ``count``,
-``stats deficit`` and the prefix normal line of ``stats cr``) keeps a
-memo of subtree counters.  Prefix normal words form a bubble language, so
-the subtree of a node 1^s 0^t gamma holds words that all end in gamma,
-and the walk below the node reads little of gamma and of f.  At a node
-with s, t > 0 and c = s + t <= ``_MEMO_CR`` the key is (s, the first
-c - 2 symbols of gamma, f[1..c-1]), and the value is what the node's
-subtree, the node included, adds to the five counters.  The key holds
-all that the subtree reads.  The node's bound loop reads ``buf`` up to
-position 2c - 2 and f up to c - 1.  Child i, at x = s + i <= c, has
-c' = x - 1 <= c - 1, and the edge into it builds the child's key from
-the parent's f[1..x-2] and ``buf`` up to 2x - 3, both inside the
-parent's key; so, by induction on c, equal keys root subtrees with equal
-counters.  Nothing in it depends on n or d, so one memo serves every
-class of a serial run.  The walk looks the key up on the edge into the
-node, once f is updated: if it is stored, the walk adds the stored
-counters and undoes the edge at once; if not, it enters the node and
-stores the change in the counters from then to the node's return.  The
-memo is off whenever a ``visit``, ``write``, ``bound`` or ``validate``
-is given, so every listing, every validated run and ``bench`` walk every
-node, and pay for the memo one comparison per edge and one test per
-node.
+``stats deficit`` and the prefix normal line of ``stats cr``), and a
+listing made through ``write`` (``generate`` in every order, ``--cyclic``
+and ``--weight``, and ``verify-gray --n``), keep a memo of subtrees.
+Prefix normal words form a bubble language, so the subtree of a node
+1^s 0^t gamma holds words that all end in gamma, and the walk below the
+node reads little of gamma and of f.  At a node with s, t > 0 and
+c = s + t <= ``_MEMO_CR`` the key is (s, the first c - 2 symbols of
+gamma, f[1..c-1]), and the value is what the node's subtree, the node
+included, adds to the five counters.  The key holds all that the subtree
+reads.  The node's bound loop reads ``buf`` up to position 2c - 2 and f
+up to c - 1.  Child i, at x = s + i <= c, has c' = x - 1 <= c - 1, and
+the edge into it builds the child's key from the parent's f[1..x-2] and
+``buf`` up to 2x - 3, both inside the parent's key; so, by induction on
+c, equal keys root subtrees with equal counters.  Nothing in it depends
+on n or d, so one memo serves every class of a serial run.  The walk
+looks the key up on the edge into the node, once f is updated: if it is
+stored, the walk adds the stored counters and undoes the edge at once;
+if not, it enters the node and stores the change in the counters from
+then to the node's return.
+
+Every swap below the node is at a position <= c, so the words of its
+subtree share ``buf[c+1..n]``; they are a contiguous run of the listing
+in every order, and the key also fixes the sequence of their first c
+symbols in a given order.  A listing's entry therefore also holds those
+rows: a miss stores the text that its subtree added to the batch, which
+is cut to rows on the entry's first hit, and a hit appends each row
+followed by the current ``buf[c+1..n]`` in one join.  Rows depend on the order, so a
+listing keeps one memo per order (``--cyclic`` mixes ``reverse`` and
+``coolex``).  Rows are sliced from the batch, so the batch is passed on
+only where no memoized node is pending.  The memo is off whenever a
+``visit``, ``bound`` or ``validate`` is given, so library sinks, every
+validated run and ``bench`` walk every node, and pay for the memo one
+comparison per edge and one test per node.
 
 The weight classes share no state, so once n is large enough for it to
 pay, ``_run_weights`` walks them in a pool of forked processes, one per
@@ -53,7 +65,7 @@ A counting run (no ``visit`` sink) sums their counters; a listing run
 (a ``write``, from the CLI) also gets each class's text, which its worker
 renders through ``bubble._lines`` into 64 KiB batches of whole lines,
 and the parent writes the batches as they are, in listing order.  A
-memoized count gives each class a memo of its own in its worker, so the
+memoized run gives each class a memo of its own in its worker, so the
 parent holds none.  A library call with a ``visit`` sink stays serial.
 """
 
@@ -106,7 +118,8 @@ def _check_order(order: str) -> None:
 _MEMO_CR = 10
 
 
-def _gen_weight(n: int, d: int, visit, order: str, validate: bool, bound=None, memo=None):
+def _gen_weight(n: int, d: int, visit, order: str, validate: bool, bound=None, memo=None,
+                lines=None):
     """Walk the weight-d class of length-n words from the root 1^d 0^(n-d).
 
     order: "coolex" (post-order), "visit-first" (pre-order, children left
@@ -124,9 +137,13 @@ def _gen_weight(n: int, d: int, visit, order: str, validate: bool, bound=None, m
     (everything past the leading 1-run and 0-run) padded with zeros; it
     is meaningful for i up to s+t and starts all zero at the root.
 
-    ``memo``, a dict, turns on the subtree-counter memo (see the module
+    ``memo``, a dict, turns on the subtree memo (see the module
     docstring) for a run with no ``visit``, ``bound`` or ``validate``;
-    it may be shared by runs of any n and d.
+    it may be shared by runs of any n and d, and, once ``lines`` are
+    given, by runs of one order only.  ``lines``, the ``bubble.Lines`` of
+    a listing made through ``write``, get each word where ``visit`` would,
+    the rows of each memoized subtree, and a spill wherever no memoized
+    node is pending after a memo hit or store.
 
     One loop over a stack of frames (s, t, i, j, saved): parent node
     1^s 0^t gamma, current child i, the parent's bound j, and the f
@@ -143,9 +160,13 @@ def _gen_weight(n: int, d: int, visit, order: str, validate: bool, bound=None, m
     pn = bound is None
     # an edge into child i of 1^s 0^t gamma leads to a node with s + t = x - 1
     memo_x = _MEMO_CR + 1 if memo is not None and visit is None and pn and not validate else 0
+    acc = None
+    if lines is not None:
+        acc, visit, spill = lines.acc, lines.sink, lines.spill
+        rows_seen = {}  # one object per distinct row: an entry's rows are its pointers
     count = cr_sum = calls = reads = swaps = 0
     stack = []
-    pending = []  # (depth, key, counters at entry) of each memoized node being walked
+    pending = []  # (depth, key, counters and len(acc) at entry) of each memoized node walked
     saved = None
     entered = []  # validate only: (buf, f) before each child's swap
     naive = bubble.naive_oracle(core.is_prefix_normal) if validate else None
@@ -211,18 +232,29 @@ def _gen_weight(n: int, d: int, visit, order: str, validate: bool, bound=None, m
                 if x <= memo_x and s > 1:  # the child has s, t > 0 and s + t = x - 1
                     key = (s - 1, bytes(buf[x:2 * x - 3]) + bytes(f[1:x - 1]))
                     done = memo.get(key)
-                    if done is not None:  # walked before: add its counters, undo the edge
-                        dc, dcr, dcalls, dreads, dswaps = done
+                    if done is not None:  # walked before: add its counters and rows, undo the edge
+                        dc, dcr, dcalls, dreads, dswaps, rows = done
                         count += dc
                         cr_sum += dcr
                         calls += dcalls
                         reads += dreads
                         swaps += dswaps
+                        if acc is not None:
+                            if rows.__class__ is bytes:  # its first hit: cut its lines to rows
+                                rows = [line[:x - 1] for line in rows[:-1].split(b"\n")]
+                                rows = [rows_seen.setdefault(row, row) for row in rows]
+                                memo[key] = (dc, dcr, dcalls, dreads, dswaps, rows)
+                            sep = buf[x:n + 1] + b"\n"  # the child's gamma ends every word
+                            acc += sep.join(rows)
+                            acc += sep
+                            if not pending:
+                                spill()
                         f[1:x + 2] = saved
                         buf[s] = 1
                         buf[x] = 0
                         continue
-                    pending.append((len(stack) + 1, key, count, cr_sum, calls, reads, swaps))
+                    pending.append((len(stack) + 1, key, count, cr_sum, calls, reads, swaps,
+                                    0 if acc is None else len(acc)))
                 stack.append((s, t, i, j, saved))
                 s, t = s - 1, i
                 break
@@ -232,9 +264,11 @@ def _gen_weight(n: int, d: int, visit, order: str, validate: bool, bound=None, m
                 if visit is not None:
                     visit(word)
             if pending and pending[-1][0] == len(stack):  # a memoized subtree is done
-                _, key, c0, cr0, calls0, reads0, swaps0 = pending.pop()
+                _, key, c0, cr0, calls0, reads0, swaps0, a0 = pending.pop()
                 memo[key] = (count - c0, cr_sum - cr0, calls - calls0, reads - reads0,
-                             swaps - swaps0)
+                             swaps - swaps0, None if acc is None else bytes(acc[a0:]))
+                if acc is not None and not pending:
+                    spill()
             if not stack:
                 return count, cr_sum, calls, reads, swaps
             s, t, i, j, saved = stack.pop()  # back up to the parent
@@ -294,11 +328,11 @@ def _fork_pool(workers):
         return None
 
 
-def _walk(n, d, visit, order, validate, memo):
-    """``_gen_weight``, passed a memo only when there is one."""
-    if memo is None:
+def _walk(n, d, visit, order, validate, memo, lines=None):
+    """``_gen_weight``, passed a memo and lines only when there are."""
+    if memo is None and lines is None:
         return _gen_weight(n, d, visit, order, validate)
-    return _gen_weight(n, d, visit, order, validate, memo=memo)
+    return _gen_weight(n, d, visit, order, validate, memo=memo, lines=lines)
 
 
 def _walk_class(n, d, order, validate, render, memoize=False):
@@ -306,9 +340,10 @@ def _walk_class(n, d, order, validate, render, memoize=False):
     is set, its listing as the text batches of ``bubble._lines``.  With
     memoize, the class gets a memo of its own."""
     batches = []
-    sink, flush = bubble._lines(batches.append)
-    counts = _walk(n, d, sink if render else None, order, validate, {} if memoize else None)
-    flush()
+    lines = bubble._lines(batches.append) if render else None
+    counts = _walk(n, d, None, order, validate, {} if memoize else None, lines)
+    if render:
+        lines.flush()
     return counts, batches
 
 
@@ -324,20 +359,23 @@ def _run_weights(n, classes, visit, validate, write=None, memoize=False):
     ahead of the one being consumed, so a rendering parent holds few
     classes, and their batches are written as they are, in listing order.
     Otherwise, or when no pool can be started, the classes are walked
-    serially.  memoize (counting runs only) gives a serial run one memo
-    for all classes and a pooled run one memo per class, in its worker."""
+    serially.  A listing through write, and a counting run with memoize,
+    use the subtree memo: a serial run one memo per order, shared by the
+    classes, a pooled run one memo per class, in its worker."""
+    memoize = memoize or write is not None
     workers = min(_cores(), len(classes))
     pool = None
     if (n >= _POOL_MIN_N and workers > 1  # checked before the multiprocessing import
             and visit is None and (write is None or n <= _RENDER_MAX_N)):
         pool = _fork_pool(workers)
     if pool is None:
-        if write is not None:
-            visit, flush = bubble._lines(write)
-        memo = {} if memoize else None
-        results = [_walk(n, d, visit, order, validate, memo) for d, order in classes]
-        if write is not None:
-            flush()
+        lines = None if write is None else bubble._lines(write)
+        memos = {}  # order -> memo: the rows of a subtree depend on the order
+        results = [_walk(n, d, visit, order, validate,
+                         memos.setdefault(order, {}) if memoize else None, lines)
+                   for d, order in classes]
+        if lines is not None:
+            lines.flush()
     else:
         render = write is not None
         results = []
@@ -404,13 +442,14 @@ def generate_all_pn_cyclic(n: int, visit=None, *,
     return _run_weights(n, _classes(n, cyclic=True), visit, validate)
 
 
-def simple_generate_pn(n: int, visit=None) -> GenerationStats:
+def simple_generate_pn(n: int, visit=None, *, spill=None) -> GenerationStats:
     """Generate all prefix normal words of length n by depth-first prefix
     extension: every prefix normal word extends by 0, and by 1 exactly
     when no suffix already matches the corresponding prefix weight.
 
     Leaves come out in ascending lexicographic order; this is not a Gray
-    code.
+    code.  spill, when given with visit, is called after every 64th visit
+    (the CLI passes its batch's ``bubble.Lines.spill``).
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -430,6 +469,8 @@ def simple_generate_pn(n: int, visit=None) -> GenerationStats:
         stats.cr_sum += r if r >= 0 else n
         if visit is not None:
             visit(word)
+            if spill is not None and not stats.count & 63:
+                spill()
         # back up past each 1 (both branches done) and each 0 that cannot
         # become a 1, then take the 1-branch of the deepest other 0
         while k and (buf[k - 1] or core.extension_critical(p, k - 1)):

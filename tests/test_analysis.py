@@ -320,8 +320,14 @@ EDGE_ARGUMENTS = {  # call -> ValueError message, or the result
     "simple_generate_pn(-1)": (lambda: pnoracle.simple_generate_pn(-1), "n must be non-negative"),
     "critical_prefix_sum(-1)": (lambda: analysis.critical_prefix_sum(-1), "n must be non-negative"),
     "rejection_ratio(0)": (lambda: analysis.rejection_ratio(0), "n must be positive"),
+    # the counts take n > 30 under an explicit cap; only the 2^n enumeration keeps the limit
     "rejection_ratio(31, cap=40)": (lambda: analysis.rejection_ratio(31, cap=40),
-                                    "exhaustive scans support n <= 30"),
+                                    analysis.RatioReport(31, "combined", 2005921309, 141562339,
+                                                         "2.044")),
+    "critical_prefix_sum(64, cap=64)": (lambda: analysis.critical_prefix_sum(64, cap=64),
+                                        3 * 2**64 - 67),
+    "equivalence_class('1' * 31, cap=40)": (lambda: analysis.equivalence_class("1" * 31, cap=40),
+                                            "exhaustive scans support n <= 30"),
     "pnf_cr_sample(0, 1, 0)": (lambda: analysis.pnf_cr_sample(0, 1, 0), "n must be positive"),
     "critical_prefix_of_pnf('')": (lambda: analysis.critical_prefix_of_pnf(""),
                                    "empty word has no critical prefix"),
@@ -492,6 +498,8 @@ class TestRejectionRatio:
     def test_cap_and_mode_errors(self):
         with pytest.raises(ValueError):
             analysis.rejection_ratio(22)
+        with pytest.raises(ValueError, match="above the exhaustive cap 40"):
+            analysis.rejection_ratio(41, cap=40)
         with pytest.raises(ValueError):
             analysis.rejection_ratio(8, "bogus")
 
@@ -502,6 +510,8 @@ class TestRejectionRatio:
         (26, "combined", 61793183, 5315681, "2.059"),
         (30, "trivial", 975559158, 98182666, "2.743"),
         (30, "combined", 1000493876, 73247948, "2.047"),
+        (40, "trivial", 1023140864938, 76370762838, "2.778"),
+        (40, "combined", 1043997336003, 55514291773, "2.020"),
     ])
     def test_pinned_cells(self, n, mode, rejected, passed, ratio):
         report = analysis.rejection_ratio(n, mode, cap=n)

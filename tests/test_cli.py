@@ -1,3 +1,4 @@
+import functools
 import io
 import multiprocessing
 import os
@@ -294,7 +295,7 @@ class TestPooledGenerate:
         monkeypatch.setattr(pnoracle, "_POOL_MIN_N", 9)
         calls = []
 
-        def walk(n, d, visit, order, validate):  # n = 25 would list 50 MB
+        def walk(n, d, visit, order, validate, **memo_and_lines):  # n = 25 would list 50 MB
             calls.append(n)
             return (0,) * 5
 
@@ -307,7 +308,7 @@ class TestPooledGenerate:
         script = ("import sys\n"
                   "from pnwords import cli, pnoracle\n"
                   "pnoracle._cores = lambda: 2\n"
-                  "pnoracle._gen_weight = lambda n, d, visit, order, validate: (0,) * 5\n"
+                  "pnoracle._gen_weight = lambda n, d, visit, order, validate, **kw: (0,) * 5\n"
                   "cli.run(['generate', '--n', '25'])\n"
                   "cli.run(['generate', '--n', '8'])\n"
                   "print('multiprocessing' in sys.modules)\n")
@@ -588,11 +589,24 @@ def _simple_words(n):
     return sink.words
 
 
+@functools.cache
+def _largest_memoized_subtree():
+    memo = {}
+    for d in range(17):
+        pnoracle._gen_weight(16, d, None, "coolex", False, memo=memo)
+    return max(entry[0] for entry in memo.values())
+
+
 class TestListingBatches:
     """Every listing reaches its writer as the batches of bubble._lines:
-    with a batch of 1-3 lines, each write is whole lines, at most one batch
-    plus one line long, and the writes join to the listing, serial or
-    pooled."""
+    with a batch of 1-3 lines, each write is whole lines, and the writes
+    join to the listing, serial or pooled.  A write holds at most one batch
+    plus the lines added after the batch filled and before its producer
+    spilled it: the walker spills only where no memoized subtree is
+    pending, so that is at most one memoized subtree, and --algo simple
+    spills once per 64 words."""
+
+    SLACK = {"simple": 64}  # the walker's is the largest memoized subtree
 
     LISTINGS = {
         "coolex": ([], pnoracle.pn_words),
@@ -615,20 +629,22 @@ class TestListingBatches:
         return None
 
     @staticmethod
-    def check(writes, words, n, size):
+    def check(writes, words, n, size, slack):
         assert "".join(writes) == "".join(w + "\n" for w in words)
-        assert all(text.endswith("\n") and len(text) <= (size + 1) * (n + 1) for text in writes)
+        assert all(text.endswith("\n") and len(text) <= (size + slack) * (n + 1)
+                   for text in writes)
 
     @pytest.mark.parametrize("size", [1, 2, 3])
     @pytest.mark.parametrize("mode", LISTINGS)
     def test_generate(self, mode, size, made, monkeypatch):
         options, listing = self.LISTINGS[mode]
+        slack = self.SLACK.get(mode) or _largest_memoized_subtree()
         for n in range(12, 17):
             monkeypatch.setattr(bubble, "_BATCH_BYTES", size * (n + 1))
             writes = []
             monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
             assert cli.run(["generate", "--n", str(n), *options]) == 0
-            self.check(writes, listing(n), n, size)
+            self.check(writes, listing(n), n, size, slack)
         if made is not None:
             assert made == ([2] * 5 if mode in self.POOLED else [])
 
@@ -640,6 +656,7 @@ class TestListingBatches:
         monkeypatch.setattr(analysis.GrayChecker, "feed_block",
                             lambda self, block: blocks.append(block) or feed_block(self, block))
         options = ["--cyclic"] if cyclic else []
+        slack = _largest_memoized_subtree()
         for n in range(12, 17):
             monkeypatch.setattr(bubble, "_BATCH_BYTES", size * (n + 1))
             blocks.clear()
@@ -647,6 +664,6 @@ class TestListingBatches:
             words = pnoracle.pn_words(n, cyclic=cyclic)
             pairs = len(words) if cyclic else len(words) - 1
             assert capsys.readouterr().out == f"words={len(words)} pairs={pairs} violations=0\n"
-            self.check([block.decode() for block in blocks], words, n, size)
+            self.check([block.decode() for block in blocks], words, n, size, slack)
         if made is not None:
             assert made == [2] * 5

@@ -356,7 +356,22 @@ class TestSubtreeMemo:
         pnoracle._gen_weight(12, 6, lambda word: None, "coolex", False, memo=memo)
         pnoracle._gen_weight(12, 6, None, "coolex", True, memo=memo)
         pnoracle._gen_weight(12, 6, None, "coolex", False, lambda s, t, w: 0, memo=memo)
+        # a listing through write: validation or an oracle still walks every node
+        texts = []
+        lines = bubble._lines(texts.append)
+        pnoracle._gen_weight(12, 6, None, "coolex", True, memo=memo, lines=lines)
+        pnoracle._gen_weight(12, 6, None, "coolex", False, lambda s, t, w: 0, memo=memo,
+                             lines=lines)
+        lines.flush()
         assert memo == {}
+        words = [w for w in pnoracle.pn_words(12) if w.count("1") == 6]
+        assert "".join(texts) == "".join(w + "\n" for w in words) + "111111000000\n"
+        # and without them it fills the memo with counters and rows
+        texts.clear()
+        pnoracle._gen_weight(12, 6, None, "coolex", False, memo=memo, lines=lines)
+        lines.flush()
+        assert "".join(texts) == "".join(w + "\n" for w in words)
+        assert memo and all(isinstance(entry[5], (bytes, list)) for entry in memo.values())
 
     def test_counting_commands_pass_a_memo(self, walks, capsys):
         from pnwords import cli
@@ -368,16 +383,94 @@ class TestSubtreeMemo:
             assert isinstance(walks[0], dict) and walks[0]
 
     def test_bench_generate_and_validation_walk_every_node(self, walks, capsys):
+        # bench, validation, library sinks and the library listings pass no
+        # memo; generate and verify-gray --n list through write with one
+        # memo per order, shared by the classes of a serial run
         from pnwords import cli
         assert cli.run(["bench", "--n-min", "8", "--n-max", "9"]) == 0
-        assert cli.run(["generate", "--n", "9"]) == 0
-        assert cli.run(["verify-gray", "--n", "9"]) == 0
         pnoracle.generate_all_pn(9)
         pnoracle.generate_all_pn(9, validate=True)
+        pnoracle.generate_all_pn(9, bubble.Collector())
         pnoracle.generate_all_pn_cyclic(9)
         pnoracle.gen_bubble_pn(9, 4)
-        assert len(walks) == 9 + 10 + 10 + 10 + 10 + 10 + 10 + 1
-        assert walks == [None] * len(walks)
+        assert walks == [None] * (9 + 10 + 10 + 10 + 10 + 10 + 1)
+        for argv in (["generate", "--n", "9"], ["generate", "--n", "9", "--order", "visit-first"],
+                     ["generate", "--n", "9", "--weight", "4"], ["verify-gray", "--n", "9"]):
+            walks.clear()
+            assert cli.run(argv) == 0
+            assert all(m is walks[0] for m in walks) and isinstance(walks[0], dict), argv
+            assert walks[0] and len(walks) == (1 if "--weight" in argv else 10), argv
+        capsys.readouterr()
+
+
+def _list(n, classes):
+    """The text and counters of a listing through write."""
+    texts = []
+    stats = pnoracle._run_weights(n, classes, None, False, texts.append)
+    return "".join(texts), counters(stats)
+
+
+def _full_walk(n, order, cyclic):
+    """The text of the listing from a visit sink, which walks every node."""
+    return "".join(w + "\n" for w in pnoracle.pn_words(n, cyclic=cyclic, order=order))
+
+
+ORDERS = pytest.mark.parametrize("order, cyclic", [("coolex", False), ("visit-first", False),
+                                                   ("coolex", True)],
+                                 ids=["coolex", "visit-first", "cyclic"])
+
+
+class TestListingMemo:
+    """A listing through write copies the rows of memoized subtrees; it must
+    equal the full walk byte for byte and return the same counters."""
+
+    @ORDERS
+    def test_serial_listing_is_the_full_walk(self, monkeypatch, order, cyclic):
+        monkeypatch.setattr(pnoracle, "_cores", lambda: 1)  # one memo per order for all classes
+        for n in range(17):
+            assert _list(n, pnoracle._classes(n, order, cyclic)) == (
+                _full_walk(n, order, cyclic), COUNTERS[n]), n
+
+    @needs_fork_pool
+    @ORDERS
+    def test_pooled_listing_is_the_full_walk(self, pooled, order, cyclic):
+        for n in (1, 2, 9, 12, 16):
+            assert _list(n, pnoracle._classes(n, order, cyclic)) == (
+                _full_walk(n, order, cyclic), COUNTERS[n]), n
+        assert pooled == [2] * 5
+
+    @pytest.mark.parametrize("order", ("coolex", "visit-first", "reverse"))
+    def test_rows_come_from_the_first_hit(self, order):
+        # a memo filled by one class and hit by the next: stored lines are
+        # cut to rows once, and the rows are shared between entries
+        memo, texts = {}, []
+        lines = bubble._lines(texts.append)
+        for d in range(17):
+            pnoracle._gen_weight(16, d, None, order, False, memo=memo, lines=lines)
+        lines.flush()
+        expected = bubble.Collector()
+        for d in range(17):
+            pnoracle._gen_weight(16, d, expected, order, False)
+        assert "".join(texts) == "".join(w + "\n" for w in expected.words)
+        hit = [entry for entry in memo.values() if isinstance(entry[5], list)]
+        assert hit and all(len(entry[5]) == entry[0] for entry in hit)  # a row per word
+        rows = [row for entry in hit for row in entry[5]]
+        assert len({id(row) for row in rows}) < len(rows)  # equal rows are one object
+
+    def test_serial_cyclic_run_keeps_a_memo_per_order(self, monkeypatch):
+        monkeypatch.setattr(pnoracle, "_cores", lambda: 1)
+        expected = _full_walk(14, "coolex", True), COUNTERS[14]
+        seen = []
+        real = pnoracle._gen_weight
+
+        def spy(n, d, visit, order, validate, **kwargs):
+            seen.append((order, kwargs["memo"]))
+            return real(n, d, visit, order, validate, **kwargs)
+        monkeypatch.setattr(pnoracle, "_gen_weight", spy)
+        assert _list(14, pnoracle._classes(14, cyclic=True)) == expected
+        memos = {order: {id(memo) for o, memo in seen if o == order} for order, _ in seen}
+        assert set(memos) == {"reverse", "coolex"} and all(len(ids) == 1 for ids in memos.values())
+        assert memos["reverse"] != memos["coolex"]
 
 
 @needs_fork_pool
@@ -553,9 +646,7 @@ class TestPoolLoop:
         assert len(walks) == 13 and len({id(memo) for memo in walks}) == 13
 
     @pytest.mark.parametrize("workers", [2, 3])
-    @pytest.mark.parametrize("order, cyclic", [("coolex", False), ("visit-first", False),
-                                               ("coolex", True)],
-                             ids=["coolex", "visit-first", "cyclic"])
+    @ORDERS
     def test_listing(self, fake_pool, monkeypatch, workers, order, cyclic):
         expected = [w + "\n" for w in pnoracle.pn_words(12, cyclic=cyclic, order=order)]
         monkeypatch.setattr(pnoracle, "_cores", lambda: workers)
