@@ -72,6 +72,8 @@ def positions(w: str, c: str = "1") -> list[int]:
 def shortest_window(pos: list[int], j: int) -> int:
     """Length of the shortest window holding j of the marks at the sorted
     positions pos, for 1 <= j <= len(pos); one C-level pass over pos."""
+    if not 1 <= j <= len(pos):
+        raise ValueError(f"need 1 <= j <= {len(pos)} (the number of marks), got j={j}")
     return min(map(sub, pos[j - 1:], pos)) + 1
 
 

@@ -29,34 +29,42 @@ listing made through ``write`` (``generate`` in every order, ``--cyclic``
 and ``--weight``, and ``verify-gray --n``), keep a memo of subtrees.
 Prefix normal words form a bubble language, so the subtree of a node
 1^s 0^t gamma holds words that all end in gamma, and the walk below the
-node reads little of gamma and of f.  At a node with s, t > 0 and
-c = s + t <= ``_MEMO_CR`` the key is (s, the first c - 2 symbols of
-gamma, f[1..c-1]), and the value is what the node's subtree, the node
-included, adds to the five counters.  The key holds all that the subtree
-reads.  The node's bound loop reads ``buf`` up to position 2c - 2 and f
-up to c - 1.  Child i, at x = s + i <= c, has c' = x - 1 <= c - 1, and
-the edge into it builds the child's key from the parent's f[1..x-2] and
-``buf`` up to 2x - 3, both inside the parent's key; so, by induction on
-c, equal keys root subtrees with equal counters.  Nothing in it depends
-on n or d, so one memo serves every class of a serial run.  The walk
-looks the key up on the edge into the node, once f is updated: if it is
-stored, the walk adds the stored counters and undoes the edge at once;
-if not, it enters the node and stores the change in the counters from
-then to the node's return.
+node reads little of gamma and of f.  The memo is keyed on the edge into
+a child C, from the parent's state before the edge: the edge into child
+i of 1^s 0^t gamma, at x = s + i with s >= 2 and x <= ``_MEMO_CR`` + 1,
+has the key ``buf[1..2x-4] + f[1..x-2]``, one ``bytes``, whose length
+fixes x and whose leading 1s fix s.  The value is what the edge and C's
+subtree, C included, add to the five counters.  The key holds all that
+they read.  C has c' = x - 1 and s' = s - 1, and its subtree reads
+``buf`` up to 2c' - 2 = 2x - 4; after the swap at s and x <= 2x - 4 that
+region is fixed by the key.  The subtree also reads f'[1..c'-1], where
+f'[k] = max(f[k], ones(buf'[x..x+k-1])); for k <= x - 3 the window ends
+by 2x - 4, so the key fixes f'[k].  f'[x-2] may depend on ``buf[2x-3]``,
+outside the key, but only C's last bound test reads it:
+count(buf'[x..2x-4]) + 1 >= s' or f'[x-2] >= s'.  As ones(buf'[x..2x-3])
+<= count(buf'[x..2x-4]) + 1, that test equals count(...) + 1 >= s' or
+f[x-2] >= s', which the key fixes.  C's descendants have c <= x - 2 and
+read f only below x - 2.  So equal keys root equal subtrees.  Nothing
+in it depends on n or d, so one memo serves every class of a serial
+run.  The walk looks the key up before the swap: if it is stored, the
+walk adds the stored counters and goes on to the next child, so a hit
+makes no edge (no swap, no f upkeep, no restore); if not, it takes the
+edge and stores the change in the counters from before the edge to C's
+return.
 
-Every swap below the node is at a position <= c, so the words of its
-subtree share ``buf[c+1..n]``; they are a contiguous run of the listing
-in every order, and the key also fixes the sequence of their first c
-symbols in a given order.  A listing's entry therefore also holds those
-rows: a miss stores the text that its subtree added to the batch, which
-is cut to rows on the entry's first hit, and a hit appends each row
-followed by the current ``buf[c+1..n]`` in one join.  Rows depend on the order, so a
-listing keeps one memo per order (``--cyclic`` mixes ``reverse`` and
-``coolex``).  Rows are sliced from the batch, so the batch is passed on
-only where no memoized node is pending.  The memo is off whenever a
-``visit``, ``bound`` or ``validate`` is given, so library sinks, every
-validated run and ``bench`` walk every node, and pay for the memo one
-comparison per edge and one test per node.
+Every swap below C is at a position <= c' = x - 1, so the words of its
+subtree share C's gamma, a 1 and then ``buf[x+1..n]``; they are a
+contiguous run of the listing in every order, and the key also fixes the
+sequence of their first x - 1 symbols in a given order.  A listing's
+entry therefore also holds those rows: a miss stores the text that the
+subtree added to the batch, which is cut to rows on the entry's first
+hit, and a hit appends each row followed by C's gamma in one join.  Rows
+depend on the order, so a listing keeps one memo per order (``--cyclic``
+mixes ``reverse`` and ``coolex``).  Rows are sliced from the batch, so
+the batch is passed on only where no memoized node is pending.  The memo
+is off whenever a ``visit``, ``bound`` or ``validate`` is given, so
+library sinks, every validated run and ``bench`` walk every node, and
+pay for the memo one comparison per edge and one test per node.
 
 The weight classes share no state, so once n is large enough for it to
 pay, ``_run_weights`` walks them in a pool of forked processes, one per
@@ -112,9 +120,10 @@ def _check_order(order: str) -> None:
 
 # Largest critical prefix length s + t of a memoized node (see the module
 # docstring).  The memo's size is bounded by it, not by n.  Serial counts
-# at n = 28 on one core: 10 gives 41k entries, a 25 MiB peak and 6.0 s;
-# 12 gives 168k entries, 57 MiB and 4.2 s; 8 gives 3k entries, 16 MiB and
-# 11.9 s.  10 keeps the memo within 10 MiB of the walk's own memory.
+# at n = 28 on one core of a 2-vCPU VM (medians of 3): 10 gives 54k
+# entries, a 27 MiB peak and 4.6 s; 12 gives 218k entries, 65 MiB and
+# 3.7 s; 8 gives 4k entries, 17 MiB and 10.0 s.  10 keeps the memo within
+# 11 MiB of the walk's own memory.
 _MEMO_CR = 10
 
 
@@ -140,7 +149,9 @@ def _gen_weight(n: int, d: int, visit, order: str, validate: bool, bound=None, m
     ``memo``, a dict, turns on the subtree memo (see the module
     docstring) for a run with no ``visit``, ``bound`` or ``validate``;
     it may be shared by runs of any n and d, and, once ``lines`` are
-    given, by runs of one order only.  ``lines``, the ``bubble.Lines`` of
+    given, by runs of one order only.  Its key is taken before an edge's
+    swap, so a hit makes no edge, and an entry holds the counters of the
+    edge and of the subtree below it.  ``lines``, the ``bubble.Lines`` of
     a listing made through ``write``, get each word where ``visit`` would,
     the rows of each memoized subtree, and a spill wherever no memoized
     node is pending after a memo hit or store.
@@ -166,7 +177,7 @@ def _gen_weight(n: int, d: int, visit, order: str, validate: bool, bound=None, m
         rows_seen = {}  # one object per distinct row: an entry's rows are its pointers
     count = cr_sum = calls = reads = swaps = 0
     stack = []
-    pending = []  # (depth, key, counters and len(acc) at entry) of each memoized node walked
+    pending = []  # (depth, key, counters and len(acc) before its edge) per memoized node walked
     saved = None
     entered = []  # validate only: (buf, f) before each child's swap
     naive = bubble.naive_oracle(core.is_prefix_normal) if validate else None
@@ -214,6 +225,29 @@ def _gen_weight(n: int, d: int, visit, order: str, validate: bool, bound=None, m
             i += step
             if 0 < i <= j:  # descend into child i
                 x = s + i
+                if x <= memo_x and s > 1:  # the child has s, t > 0 and s + t = x - 1
+                    key = bytes(buf[1:2 * x - 3]) + bytes(f[1:x - 1])  # before the edge
+                    done = memo.get(key)
+                    if done is not None:  # walked before: add its edge's and subtree's counters
+                        dc, dcr, dcalls, dreads, dswaps, rows = done
+                        count += dc
+                        cr_sum += dcr
+                        calls += dcalls
+                        reads += dreads
+                        swaps += dswaps
+                        if acc is not None:
+                            if rows.__class__ is bytes:  # its first hit: cut its lines to rows
+                                rows = [line[:x - 1] for line in rows[:-1].split(b"\n")]
+                                rows = [rows_seen.setdefault(row, row) for row in rows]
+                                memo[key] = (dc, dcr, dcalls, dreads, dswaps, rows)
+                            sep = b"\x01" + buf[x + 1:n + 1] + b"\n"  # the child's gamma
+                            acc += sep.join(rows)
+                            acc += sep
+                            if not pending:
+                                spill()
+                        continue
+                    pending.append((len(stack) + 1, key, count, cr_sum, calls, reads, swaps,
+                                    0 if acc is None else len(acc)))
                 if validate:
                     entered.append((bytes(buf), f[:]))
                 buf[s] = 0
@@ -229,32 +263,6 @@ def _gen_weight(n: int, d: int, visit, order: str, validate: bool, bound=None, m
                         fi += 1
                     reads += x + 1
                 swaps += 2
-                if x <= memo_x and s > 1:  # the child has s, t > 0 and s + t = x - 1
-                    key = (s - 1, bytes(buf[x:2 * x - 3]) + bytes(f[1:x - 1]))
-                    done = memo.get(key)
-                    if done is not None:  # walked before: add its counters and rows, undo the edge
-                        dc, dcr, dcalls, dreads, dswaps, rows = done
-                        count += dc
-                        cr_sum += dcr
-                        calls += dcalls
-                        reads += dreads
-                        swaps += dswaps
-                        if acc is not None:
-                            if rows.__class__ is bytes:  # its first hit: cut its lines to rows
-                                rows = [line[:x - 1] for line in rows[:-1].split(b"\n")]
-                                rows = [rows_seen.setdefault(row, row) for row in rows]
-                                memo[key] = (dc, dcr, dcalls, dreads, dswaps, rows)
-                            sep = buf[x:n + 1] + b"\n"  # the child's gamma ends every word
-                            acc += sep.join(rows)
-                            acc += sep
-                            if not pending:
-                                spill()
-                        f[1:x + 2] = saved
-                        buf[s] = 1
-                        buf[x] = 0
-                        continue
-                    pending.append((len(stack) + 1, key, count, cr_sum, calls, reads, swaps,
-                                    0 if acc is None else len(acc)))
                 stack.append((s, t, i, j, saved))
                 s, t = s - 1, i
                 break

@@ -424,6 +424,18 @@ class TestCriticalPrefix:
             assert cp.t >= 1
 
 
+class TestShortestWindow:
+    def test_examples(self):
+        assert [core.shortest_window([1, 5, 9], j) for j in (1, 2, 3)] == [1, 5, 9]
+        assert core.shortest_window([0, 1, 7, 8, 9], 3) == 3
+
+    @pytest.mark.parametrize("pos, j", [([1, 5, 9], 0), ([1, 5, 9], -1), ([1, 5, 9], 4),
+                                        ([], 1), ([], 0)])
+    def test_rejects_j_outside_the_marks(self, pos, j):
+        with pytest.raises(ValueError, match=rf"need 1 <= j <= {len(pos)} .*got j={j}"):
+            core.shortest_window(pos, j)
+
+
 class TestExtensionCritical:
     def test_examples(self):
         assert core.is_extension_critical("101") is True

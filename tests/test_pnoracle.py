@@ -1,3 +1,4 @@
+import functools
 import multiprocessing
 import os
 import signal
@@ -9,7 +10,7 @@ from itertools import groupby
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pnwords import bubble, core, pnoracle
@@ -349,7 +350,8 @@ class TestSubtreeMemo:
             for d in range(n + 1):
                 assert (pnoracle._gen_weight(n, d, None, order, False, memo=memo)
                         == pnoracle._gen_weight(n, d, None, order, False)), (n, d)
-        assert memo and all(len(k) + 3 <= 2 * pnoracle._MEMO_CR for _, k in memo)
+        # a key is the parent's first 2x - 4 symbols and f[1..x-2], x <= _MEMO_CR + 1
+        assert memo and all(len(k) <= 3 * pnoracle._MEMO_CR - 3 for k in memo)
 
     def test_memo_is_off_with_a_sink_an_oracle_or_validation(self):
         memo = {}
@@ -471,6 +473,129 @@ class TestListingMemo:
         memos = {order: {id(memo) for o, memo in seen if o == order} for order, _ in seen}
         assert set(memos) == {"reverse", "coolex"} and all(len(ids) == 1 for ids in memos.values())
         assert memos["reverse"] != memos["coolex"]
+
+
+WALK_ORDERS = ("coolex", "visit-first", "reverse")
+
+
+def _pn_classes(n):
+    """simple_generate_pn's length-n words, as a set per weight."""
+    sink = bubble.Collector()
+    pnoracle.simple_generate_pn(n, sink)
+    classes = {}
+    for w in sink.words:
+        classes.setdefault(w.count("1"), set()).add(w)
+    return classes
+
+
+def _model_subtree(w, members, edges):
+    """The counters and the listing in each of WALK_ORDERS of the subtree
+    rooted at w in the tree of its class, made from the word set members:
+    the children of 1^s 0^t gamma are the words 1^(s-1) 0^i 1 0^(t-i) gamma
+    in members.  The counters follow the walker's cost model: a node tests
+    its children in turn up to the first refused one, a test of child i
+    reads s + i - 2 symbols, and an edge at x reads x + 1 and makes 2 swaps.
+    Appends (parent, x, child counters with the edge, child listings) of
+    every edge to edges."""
+    cp = core.critical_prefix(w) if w else core.CriticalPrefix(0, 0, "")
+    s, t = cp.s, cp.t
+    kids = [(s + i, "1" * (s - 1) + "0" * i + "1" + "0" * (t - i) + cp.gamma)
+            for i in range(1, t + 1)] if s else []
+    j = 0
+    while j < len(kids) and kids[j][1] in members:
+        j += 1
+    calls = min(j + 1, t) if s and t else 0
+    totals = [1, s + t, calls, sum(s + k - 2 for k in range(1, calls + 1)), 0]
+    post, pre, rl = [], [w], []
+    for x, kid in kids:
+        if kid not in members:
+            continue
+        kid_totals, (kid_post, kid_pre, kid_rl) = _model_subtree(kid, members, edges)
+        kid_totals = [a + b for a, b in zip(kid_totals, (0, 0, 0, x + 1, 2))]
+        edges.append((w, x, tuple(kid_totals), (kid_post, kid_pre, kid_rl)))
+        totals = [a + b for a, b in zip(totals, kid_totals)]
+        post += kid_post
+        pre += kid_pre
+        rl[:0] = kid_rl
+    return totals, (post + [w], pre, [w] + rl)
+
+
+def _model_key(w, x, n):
+    """The memo key of the edge at x out of the node w: its first 2x - 4
+    symbols and the window maxima f[1..x-2] of its suffix past the critical
+    prefix, both zero-padded, from core.max_ones."""
+    padded = w + "0" * n
+    f = core.max_ones(core.critical_prefix(w).gamma + "0" * n)
+    return bytes(map(int, padded[:2 * x - 4])) + bytes(f[1:x - 1])
+
+
+class TestMemoKeyAudit:
+    """The memo key, taken from the parent before the edge, against a model
+    of the tree built from simple_generate_pn's words."""
+
+    def test_edges_sharing_a_key_root_equal_subtrees(self):
+        seen, shared = {}, 0
+        for n in range(13):
+            for d, members in _pn_classes(n).items():
+                edges = []
+                totals, _ = _model_subtree("1" * d + "0" * (n - d), members, edges)
+                assert totals[0] == len(members), (n, d)  # the tree holds the class once
+                for w, x, kid_totals, listings in edges:
+                    if not (w[:2] == "11" and x <= pnoracle._MEMO_CR + 1):
+                        continue
+                    rows = tuple([v[:x - 1] for v in listing] for listing in listings)
+                    key = _model_key(w, x, n)
+                    if key in seen:
+                        assert seen[key] == (kid_totals, rows), (n, d, w, x)
+                        shared += 1
+                    else:
+                        seen[key] = (kid_totals, rows)
+        assert shared > len(seen) > 100
+        # the walker stores exactly these keys, with these counters and rows
+        for k, order in enumerate(WALK_ORDERS):
+            memo = {}
+            lines = bubble._lines(lambda text: None)
+            for n in range(13):
+                for d in range(n + 1):
+                    pnoracle._gen_weight(n, d, None, order, False, memo=memo, lines=lines)
+            assert memo.keys() == seen.keys(), order
+            for key, (*entry_totals, rows) in memo.items():
+                x = len(key) // 3 + 2
+                if rows.__class__ is bytes:
+                    rows = [line[:x - 1] for line in rows[:-1].split(b"\n")]
+                assert (tuple(entry_totals), [bubble.word_str(r) for r in rows]) == (
+                    seen[key][0], seen[key][1][k]), (order, key)
+
+
+@functools.cache
+def _class_walk(n, d, order):
+    """The counters and the text of the weight-d class from a walk of every node."""
+    sink = bubble.Collector()
+    stats = pnoracle._gen_weight(n, d, sink, order, False)
+    return stats, "".join(w + "\n" for w in sink.words)
+
+
+class TestMemoFillOrder:
+    """Memos shared by runs of any length and weight, in any order."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(0, 15).flatmap(lambda n: st.tuples(st.just(n),
+                                                                    st.integers(0, n))),
+                    min_size=1, max_size=12))
+    def test_any_sequence_of_runs_gives_the_full_walk(self, runs):
+        counting = {}
+        listing = {order: {} for order in WALK_ORDERS}  # a listing memo per order
+        for n, d in runs:
+            stats, _ = _class_walk(n, d, "coolex")
+            assert pnoracle._gen_weight(n, d, None, "coolex", False, memo=counting) == stats
+            for order in WALK_ORDERS:
+                stats, text = _class_walk(n, d, order)
+                texts = []
+                lines = bubble._lines(texts.append)
+                assert pnoracle._gen_weight(n, d, None, order, False, memo=listing[order],
+                                            lines=lines) == stats, (n, d, order)
+                lines.flush()
+                assert "".join(texts) == text, (n, d, order)
 
 
 @needs_fork_pool
