@@ -7,10 +7,12 @@ critical-prefix sums, prefix-normal-form equivalence classes, sampled
 critical prefixes of prefix normal forms, and the rejection-rate table
 for the two-phase membership tester's linear phase.  The sum over all
 2^n words is a closed form and the rejection table is counted by a
-dynamic program over run-length blocks; only ``equivalence_class``
-enumerates the 2^n words.  All three refuse n above a cap
-(``_check_cap``), and only ``equivalence_class`` refuses n > 30 under
-any cap; the two counts accept a ``jobs`` that has no effect.
+dynamic program over run-length blocks, one table per first 1-run in
+combined mode, shared by every first block with that 1-run; only
+``equivalence_class`` enumerates the 2^n words.  All three refuse n
+above a cap (``_check_cap``), and only ``equivalence_class`` refuses
+n > 30 under any cap; the two counts accept a ``jobs`` that has no
+effect.
 """
 
 import io
@@ -18,6 +20,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import log2
+from operator import add
 
 from . import core
 from .pnoracle import count_all_pn
@@ -337,40 +340,45 @@ def _round3(num: int, den: int) -> str:
     return f"{scaled // 1000}.{scaled % 1000:03d}"
 
 
-def _completions(r_max, s1, t1):
-    """A[r] for r = 0..r_max: the ways to complete r symbols so that the
-    linear phase passes every block, after a block (ps, pt) with pt >= t1
-    in a word whose first block is (s1, t1).
+def _completions(s1, t1, r_max, rows=None):
+    """Rows 0..r_max of the table for first block (s1, t1), as four lists:
+    A[r], the ways to complete r symbols so that the linear phase passes
+    every block after a block (ps, pt) with pt >= t1; CA, its prefix sums;
+    S[r][k], the ways whose first block is 1^s with s <= k (k = 0..s1, so
+    S[r][s1] = A[r] for r >= 1); and C[r][k], the sum of S[0..r][k].
+    ``rows`` holds rows to extend, in place.
 
     A next block (s, t) needs 1 <= s <= s1, and t = 0 only at the end.  In
     combined mode it must also avoid s1 - ps < s <= s1 + t1 - ps - pt,
-    which is empty when pt >= t1; so N[r][ps][pt], the count after a
-    block (ps, pt), is needed only for pt < t1, and A[r] stands for every
-    other pt.  Trivial mode forbids only s > s1: its count is the one for
-    t1 = 1, where no pt < t1 is left.  P(r, s), the completions that start
-    with 1^s, is [s = r] (the last block) plus the N after (s, t) for
-    t < t1 plus CA, the prefix sums of A, for the t >= t1; S holds the
-    prefix sums of P over s, so each N is O(1).
+    which is empty when pt >= t1.  After 1^s 0^t, d - t symbols are left
+    (d = r - s): for t >= t1 the ways are A, summed in CA; for t <= t1 - s
+    the interval covers every s' > s1 - s, so the ways are
+    S[d - t][s1 - s], summed in C; only the t in between read S directly.
+    In a row r <= s1 + t1 the interval's top, s1 + t1 - s - t, is at least
+    d - t, so after any 1^s 0^t only the s' <= s1 - s fit, whatever t1 is:
+    the row is the same for every t1 >= r - s1, and t1 = n gives the rows
+    that every first block with this s1 shares.  Trivial mode forbids only
+    s > s1: its table is the one for t1 = 1.
     """
-    A, CA, N = [1], [1], [None]
-    for r in range(1, r_max + 1):
-        top = min(s1, r)
-        S = [0] * (top + 1)
-        for s in range(1, top + 1):
-            p = s == r
-            for t in range(1, min(t1 - 1, r - s) + 1):
-                p += N[r - s - t][s][t] if r > s + t else 1
-            if r >= s + t1:
-                p += CA[r - s - t1]
-            S[s] = S[s - 1] + p
-        a = S[top]
-        A.append(a)
-        CA.append(CA[-1] + a)
-        # the P of the forbidden s in (s1 - ps, s1 + t1 - ps - pt] taken out of a
-        N.append([None] + [[None] + [a - S[min(s1 + t1 - ps - pt, top)] + S[s1 - ps]
-                                     if s1 - ps < top else a for pt in range(1, t1)]
-                           for ps in range(1, s1 + 1)])
-    return A
+    A, CA, S, C = rows or ([1], [1], [[0] * (s1 + 1)], [[0] * (s1 + 1)])
+    c1 = s1 + t1
+    for r in range(len(A), r_max + 1):
+        row = [0]
+        for s in range(1, s1 + 1):
+            d, k = r - s, s1 - s
+            p = d == 0
+            if d > 0:
+                m = max(min(t1 - s, d - 1), 0)  # t = 1..m leave s' <= k
+                p = (CA[d - t1] if d >= t1 else 1) + C[d - 1][k] - C[d - 1 - m][k]
+                for t in range(m + 1, min(t1, d)):
+                    q = S[d - t]
+                    p += q[s1] - q[c1 - s - t] + q[k]
+            row.append(row[-1] + p)
+        S.append(row)
+        A.append(row[-1])
+        CA.append(CA[-1] + row[-1])
+        C.append(list(map(add, C[-1], row)))
+    return A, CA, S, C
 
 
 def rejection_ratio(n: int, mode: str = "combined", *,
@@ -382,9 +390,11 @@ def rejection_ratio(n: int, mode: str = "combined", *,
     ``combined`` adds the adjacent-block test.  The words that pass are
     counted by first block (s1, t1) with ``_completions``, not listed:
     the n + 1 words 1^s 0^(n-s) are one block and always pass, and a word
-    that starts with 0 and holds a 1 never does.  The reported ratio is
-    n * passed / 2^n in exact integer arithmetic.  ``jobs`` is accepted
-    and unused.
+    that starts with 0 and holds a 1 never does.  Combined mode reads the
+    n - s1 - t1 symbols after (s1, t1) from one table per s1, shared up to
+    row s1 + t1, and extends a copy of it past that row only when s1 + t1
+    < n / 2.  The reported ratio is n * passed / 2^n in exact integer
+    arithmetic.  ``jobs`` is accepted and unused.
     """
     if mode not in ("trivial", "combined"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -393,9 +403,13 @@ def rejection_ratio(n: int, mode: str = "combined", *,
     _check_cap(n, cap)
     passed = n + 1
     for s1 in range(1, n - 1):
-        if mode == "combined":
-            passed += sum(_completions(n - s1 - t1, s1, t1)[-1] for t1 in range(1, n - s1))
-        else:  # nothing depends on t1: one table serves every first block
-            passed += sum(_completions(n - s1 - 1, s1, 1)[1:])
+        if mode == "trivial":  # nothing depends on t1: one table serves every first block
+            passed += sum(_completions(s1, 1, n - s1 - 1)[0][1:])
+            continue
+        shared = _completions(s1, n, min(n // 2, n - s1 - 1))
+        for t1 in range(1, n - s1):
+            c1, r = s1 + t1, n - s1 - t1
+            passed += shared[0][r] if r <= c1 else _completions(
+                s1, t1, r, [rows[:c1 + 1] for rows in shared])[0][-1]
     rejected = (1 << n) - passed
     return RatioReport(n, mode, rejected, passed, _round3(n * passed, 1 << n))

@@ -30,6 +30,57 @@ def phase1_rejected_by_scan(n, mode):
     return sum(core.phase1_rejects(w, mode) for w in all_words(n))
 
 
+def _completions_by_n_table(r_max, s1, t1):
+    """A[r] for r = 0..r_max: the ways to complete r symbols so that the
+    linear phase passes every block, after a block (ps, pt) with pt >= t1
+    in a word whose first block is (s1, t1).
+
+    A next block (s, t) needs 1 <= s <= s1, and t = 0 only at the end.  In
+    combined mode it must also avoid s1 - ps < s <= s1 + t1 - ps - pt,
+    which is empty when pt >= t1; so N[r][ps][pt], the count after a
+    block (ps, pt), is needed only for pt < t1, and A[r] stands for every
+    other pt.  Trivial mode forbids only s > s1: its count is the one for
+    t1 = 1, where no pt < t1 is left.  P(r, s), the completions that start
+    with 1^s, is [s = r] (the last block) plus the N after (s, t) for
+    t < t1 plus CA, the prefix sums of A, for the t >= t1; S holds the
+    prefix sums of P over s, so each N is O(1).
+    """
+    A, CA, N = [1], [1], [None]
+    for r in range(1, r_max + 1):
+        top = min(s1, r)
+        S = [0] * (top + 1)
+        for s in range(1, top + 1):
+            p = s == r
+            for t in range(1, min(t1 - 1, r - s) + 1):
+                p += N[r - s - t][s][t] if r > s + t else 1
+            if r >= s + t1:
+                p += CA[r - s - t1]
+            S[s] = S[s - 1] + p
+        a = S[top]
+        A.append(a)
+        CA.append(CA[-1] + a)
+        # the P of the forbidden s in (s1 - ps, s1 + t1 - ps - pt] taken out of a
+        N.append([None] + [[None] + [a - S[min(s1 + t1 - ps - pt, top)] + S[s1 - ps]
+                                     if s1 - ps < top else a for pt in range(1, t1)]
+                           for ps in range(1, s1 + 1)])
+    return A
+
+
+def phase1_passed_by_n_table(n, mode):
+    """Length-n words that the linear phase passes, by a fresh table with
+    an N[r][ps][pt] part for every first block (s1, t1), O(n^5) steps in
+    combined mode: the slow twin of ``analysis.rejection_ratio`` past the
+    reach of ``phase1_rejected_by_scan``."""
+    passed = n + 1
+    for s1 in range(1, n - 1):
+        if mode == "combined":
+            passed += sum(_completions_by_n_table(n - s1 - t1, s1, t1)[-1]
+                          for t1 in range(1, n - s1))
+        else:  # nothing depends on t1: one table serves every first block
+            passed += sum(_completions_by_n_table(n - s1 - 1, s1, 1)[1:])
+    return passed
+
+
 def cr_sum_by_scan(n):
     """Sum of ``core.critical_prefix(w).cr`` over all length-n words: the
     slow twin of ``analysis.critical_prefix_sum``."""

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from pnwords import analysis, core, pnoracle
 
 from conftest import (INT_SPELLINGS, LENGTH5_CLASSES, PNW_COUNTS, all_words,
-                      brute_run_length_blocks, cr_sum_by_scan, phase1_rejected_by_scan)
+                      brute_run_length_blocks, cr_sum_by_scan, phase1_passed_by_n_table,
+                      phase1_rejected_by_scan)
 
 
 def _pairwise_report(words, cyclic):
@@ -487,6 +488,11 @@ class TestRejectionRatio:
         assert report.rejected == rejected
         assert report.passed == (1 << n) - rejected
 
+    @pytest.mark.parametrize("mode", ["trivial", "combined"])
+    @pytest.mark.parametrize("n", [*range(1, 33), 40])
+    def test_matches_n_table(self, n, mode):
+        assert analysis.rejection_ratio(n, mode, cap=n).passed == phase1_passed_by_n_table(n, mode)
+
     def test_csv_line(self):
         assert analysis.rejection_ratio(10, "combined").csv() == "10,802,222,2.168"
 
@@ -504,7 +510,8 @@ class TestRejectionRatio:
             analysis.rejection_ratio(8, "bogus")
 
     # n = 26 agrees with a numpy scan of all 2^26 words that this module
-    # once ran; n = 30 is the dynamic program's own count
+    # once ran; n = 30 to 60 are the counts of the N-table program that
+    # phase1_passed_by_n_table keeps
     @pytest.mark.parametrize("n, mode, rejected, passed, ratio", [
         (26, "trivial", 60085302, 7023562, "2.721"),
         (26, "combined", 61793183, 5315681, "2.059"),
@@ -512,6 +519,10 @@ class TestRejectionRatio:
         (30, "combined", 1000493876, 73247948, "2.047"),
         (40, "trivial", 1023140864938, 76370762838, "2.778"),
         (40, "combined", 1043997336003, 55514291773, "2.020"),
+        (50, "combined", 1080898646461597, 45001260381027, "1.998"),
+        (50, "trivial", 1062889617284568, 63010289558056, "2.798"),
+        (60, "combined", 1114839761091032619, 38081743515814357, "1.982"),
+        (60, "trivial", 1098889417253978562, 54032087352868414, "2.812"),
     ])
     def test_pinned_cells(self, n, mode, rejected, passed, ratio):
         report = analysis.rejection_ratio(n, mode, cap=n)
