@@ -6,9 +6,9 @@ checks each run of whole lines in a few big-int operations,
 critical-prefix sums, prefix-normal-form equivalence classes, sampled
 critical prefixes of prefix normal forms, and the rejection-rate table
 for the two-phase membership tester's linear phase.  The sum over all
-2^n words is a closed form and the rejection table is counted by a
-dynamic program over run-length blocks, one table per first 1-run in
-combined mode, shared by every first block with that 1-run; only
+2^n words is a closed form; the rejection table counts words with
+bounded 1-runs in trivial mode and, in combined mode, runs a dynamic
+program over run-length blocks, one table per first 1-run; only
 ``equivalence_class`` enumerates the 2^n words.  All three refuse n
 above a cap (``_check_cap``), and only ``equivalence_class`` refuses
 n > 30 under any cap; the two counts accept a ``jobs`` that has no
@@ -348,8 +348,8 @@ def _completions(s1, t1, r_max, rows=None):
     S[r][s1] = A[r] for r >= 1); and C[r][k], the sum of S[0..r][k].
     ``rows`` holds rows to extend, in place.
 
-    A next block (s, t) needs 1 <= s <= s1, and t = 0 only at the end.  In
-    combined mode it must also avoid s1 - ps < s <= s1 + t1 - ps - pt,
+    A next block (s, t) needs 1 <= s <= s1, and t = 0 only at the end.  It
+    must also avoid s1 - ps < s <= s1 + t1 - ps - pt,
     which is empty when pt >= t1.  After 1^s 0^t, d - t symbols are left
     (d = r - s): for t >= t1 the ways are A, summed in CA; for t <= t1 - s
     the interval covers every s' > s1 - s, so the ways are
@@ -357,8 +357,7 @@ def _completions(s1, t1, r_max, rows=None):
     In a row r <= s1 + t1 the interval's top, s1 + t1 - s - t, is at least
     d - t, so after any 1^s 0^t only the s' <= s1 - s fit, whatever t1 is:
     the row is the same for every t1 >= r - s1, and t1 = n gives the rows
-    that every first block with this s1 shares.  Trivial mode forbids only
-    s > s1: its table is the one for t1 = 1.
+    that every first block with this s1 shares.
     """
     A, CA, S, C = rows or ([1], [1], [[0] * (s1 + 1)], [[0] * (s1 + 1)])
     c1 = s1 + t1
@@ -381,6 +380,16 @@ def _completions(s1, t1, r_max, rows=None):
     return A, CA, S, C
 
 
+def _runs_at_most(k, r):
+    """B_k(r), the binary words of length r with no 1-run longer than k:
+    1^r if r <= k, or 1^j 0 (j <= k) and one of the last k + 1 counts."""
+    counts, window = [1], 1
+    for i in range(1, r + 1):
+        counts.append(window + (i <= k))
+        window += counts[i] - (counts[i - k - 1] if i > k else 0)
+    return counts[r]
+
+
 def rejection_ratio(n: int, mode: str = "combined", *,
                     cap: int = DEFAULT_EXHAUSTIVE_CAP,
                     jobs: int = 1) -> RatioReport:
@@ -388,13 +397,14 @@ def rejection_ratio(n: int, mode: str = "combined", *,
 
     ``trivial`` applies only the longest-1-run-must-be-a-prefix test;
     ``combined`` adds the adjacent-block test.  The words that pass are
-    counted by first block (s1, t1) with ``_completions``, not listed:
-    the n + 1 words 1^s 0^(n-s) are one block and always pass, and a word
-    that starts with 0 and holds a 1 never does.  Combined mode reads the
-    n - s1 - t1 symbols after (s1, t1) from one table per s1, shared up to
-    row s1 + t1, and extends a copy of it past that row only when s1 + t1
-    < n / 2.  The reported ratio is n * passed / 2^n in exact integer
-    arithmetic.  ``jobs`` is accepted and unused.
+    counted by first block (s1, t1), not listed: the n + 1 words
+    1^s 0^(n-s) are one block and always pass, and a word that starts
+    with 0 and holds a 1 never does.  Trivial mode sums ``_runs_at_most``;
+    combined mode reads the n - s1 - t1 symbols after (s1, t1) from one
+    ``_completions`` table per s1, shared up to row s1 + t1; a copy is
+    extended past it only when s1 + t1 < n / 2.  The reported ratio is
+    n * passed / 2^n in exact integer arithmetic.  ``jobs`` is accepted
+    and unused.
     """
     if mode not in ("trivial", "combined"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -403,8 +413,10 @@ def rejection_ratio(n: int, mode: str = "combined", *,
     _check_cap(n, cap)
     passed = n + 1
     for s1 in range(1, n - 1):
-        if mode == "trivial":  # nothing depends on t1: one table serves every first block
-            passed += sum(_completions(s1, 1, n - s1 - 1)[0][1:])
+        if mode == "trivial":
+            # each 1^s1 0^t1 has B(r) - B(r - 1) rests of length r >= 1, all
+            # starting with 1: over t1 the sum telescopes to B(n - s1 - 1) - 1
+            passed += _runs_at_most(s1, n - s1 - 1) - 1
             continue
         shared = _completions(s1, n, min(n // 2, n - s1 - 1))
         for t1 in range(1, n - s1):

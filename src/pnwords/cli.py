@@ -21,10 +21,12 @@ that cannot be opened, a closed stdin or stdout, a write that fails other
 than to a reader that has left), 1 when a verification subcommand finds
 violations, also if its reader leaves before the report is written, and
 130 after Ctrl-C.  ``run`` flushes stdout before it returns, so such a
-failure reaches its handler and not interpreter exit.
+failure reaches its handler and not interpreter exit.  The parser is
+built once per process, on the first ``run``.
 """
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -254,6 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def _flush_stdout():
     flush = getattr(sys.stdout, "flush", None)  # stdout may be closed (None) or write-only
     if flush is not None:
@@ -261,9 +266,8 @@ def _flush_stdout():
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return exc.code
     code = 0

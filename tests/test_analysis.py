@@ -493,6 +493,13 @@ class TestRejectionRatio:
     def test_matches_n_table(self, n, mode):
         assert analysis.rejection_ratio(n, mode, cap=n).passed == phase1_passed_by_n_table(n, mode)
 
+    @pytest.mark.parametrize("r", range(15))
+    def test_runs_at_most_matches_enumeration(self, r):
+        # trivial mode's count, B_k(r); k >= r admits all 2^r words
+        longest = [max(map(len, w.split("0"))) for w in all_words(r)]
+        for k in range(7):
+            assert analysis._runs_at_most(k, r) == sum(m <= k for m in longest)
+
     def test_csv_line(self):
         assert analysis.rejection_ratio(10, "combined").csv() == "10,802,222,2.168"
 

@@ -497,6 +497,53 @@ class TestCliInProcess:
         assert cli.run(["--help"]) == 0
 
 
+class TestSharedParser:
+    """``run`` parses with one parser per process: usage errors, help and
+    commands that follow one another answer as with a fresh parser."""
+
+    ARGVS = (["stats", "ratio", "--n", "8", "--mode", "bogus"],
+             ["--help"],
+             ["stats", "ratio", "--n", "12", "--mode", "trivial"],
+             ["stats", "ratio", "--n", "12", "--mode", "combined", "--jobs", "2"],
+             ["count", "--n", "9"])
+
+    @staticmethod
+    def _answers(argvs, capsys):
+        answers = []
+        for argv in argvs:
+            code = cli.run(argv)
+            answers.append((code, *capsys.readouterr()))
+        return answers
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_each_call_answers_as_with_a_fresh_parser(self, order, monkeypatch, capsys):
+        argvs = self.ARGVS[::order]
+        shared = self._answers(argvs, capsys)
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        assert shared == self._answers(argvs, capsys)
+        assert [code for code, _, _ in shared] == [2, 0, 0, 0, 0][::order]
+
+    def test_parser_is_built_on_the_first_run_not_at_import(self):
+        script = (
+            "import argparse, contextlib, io\n"
+            "made, init = [], argparse.ArgumentParser.__init__\n"
+            "def counted(self, *args, **kwargs):\n"
+            "    made.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counted\n"
+            "import pnwords.cli\n"
+            "built = [len(made)]\n"
+            "for _ in range(2):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        pnwords.cli.run(['count', '--n', '5'])\n"
+            "    built.append(len(made))\n"
+            "pnwords.cli.build_parser()\n"
+            "print(built[0], built[1] == built[2] > 0, len(made) == 2 * built[1])\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0 True True\n"
+
+
 def _verify_stdin(monkeypatch, capsys, data, *options):
     """(exit code, stdout, stderr) of ``verify-gray --stdin`` on data."""
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
