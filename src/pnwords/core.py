@@ -11,15 +11,16 @@ testers check their word once and raise ``WordFormatError`` for text that
 is not 0/1; the helpers they share take it as given.  Everything that reads a
 word as its blocks 1^s 0^t goes through one scanner, ``_blocks``.
 
-The window-maxima tables, ``pnf`` and ``is_prefix_normal`` share one
-kernel, ``_window_max``: one int holds a lane per window start, and each
-of n steps adds the next symbol to every window with a few big-int
-operations over about n*L bits (L = (n + 1).bit_length() + 1).
+The window-maxima tables and ``pnf`` share one kernel, ``_window_max``:
+one int holds a lane per window start, and each of n steps adds the next
+symbol to every window with a few big-int operations over about n*L bits
+(L = (n + 1).bit_length() + 1).  ``is_prefix_normal`` runs the same pass,
+``_within_prefix``, against the prefix weights, and stops at the first
+window that holds more 1s than the prefix of its length.
 """
 
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import eq, sub
+from operator import sub
 
 
 class WordFormatError(ValueError):
@@ -87,14 +88,15 @@ def _lanes(w):
 
 
 def _window_max(S, R, L, n):
-    """Yield f[1..n], f[k] the most marks in a length-k window, from the
-    lanes S of the marks of a length-n word.  Step k adds the marks
+    """[f[1], ..., f[n]], f[k] the most marks in a length-k window, from
+    the lanes S of the marks of a length-n word.  Step k adds the marks
     w[i+k-1], so lane i of Z holds v + 2**(L-1) - 1 - f[k-1], v the marks
     in w[i:i+k].  v <= f[k-1] + 1 < 2**(L-1), so no lane carries, and some
     lane's top bit is set iff f[k] = f[k-1] + 1.  Lanes i > n - k hold
     suffixes, never more than the window ending at n; they are masked off
     each time they make up half of Z (below 64 lanes a mask costs more than
     it saves)."""
+    f = []
     H = R << (L - 1)
     Z, c, live = H - R, 0, n
     while live:
@@ -108,7 +110,37 @@ def _window_max(S, R, L, n):
             if Z & H:
                 c += 1
                 Z -= R
-            yield c
+            f.append(c)
+    return f
+
+
+def _within_prefix(S, R, L, w):
+    """True when no window of w holds more 1s than the prefix of its
+    length, from the lanes S of w's 1s.  The pass of ``_window_max`` with
+    lane i of Z offset by the prefix weight P[k] in place of f[k-1]: after
+    step k it holds v + 2**(L-1) - 1 - P[k], v the 1s in w[i:i+k], so a set
+    top bit is a window with more 1s than the prefix, and the pass stops
+    there.  Until then v - P[k] <= 1 and P[k] <= n < 2**(L-1), so every
+    lane stays within 0..2**(L-1) and none carries or borrows.  A "1"
+    raises P[k] by as much as any v, so only a "0" can set a top bit.  A
+    lane past the end holds a suffix, which its step already checked, so
+    lanes are masked off as in ``_window_max``."""
+    H = R << (L - 1)
+    Z, k, live = H - R, 0, len(w)
+    while live:
+        mask = (1 << L * live) - 1
+        Z, R, H = Z & mask, R & mask, H & mask
+        steps = live - live // 2 if live > 64 else live
+        live -= steps
+        for c in w[k:k + steps]:
+            Z += S
+            S >>= L
+            if c == "1":
+                Z -= R
+            elif Z & H:
+                return False
+        k += steps
+    return True
 
 
 def max_ones(w: str) -> list[int]:
@@ -150,7 +182,7 @@ def _is_prefix_normal(w):
     first = len(w) - len(w.lstrip("1"))
     if "1" * (first + 1) in w:
         return False
-    return all(map(eq, _window_max(*_lanes(w), len(w)), accumulate(map(int, w))))
+    return _within_prefix(*_lanes(w), w)
 
 
 @dataclass(frozen=True)

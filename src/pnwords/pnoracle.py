@@ -12,7 +12,16 @@ more 1s, or the suffix beyond the old critical prefix already has a
 window of length s+j-1 with s or more 1s.  The latter maxima are kept in
 an array ``f`` that is updated in O(s+i) time per tree edge and restored
 from a saved slice on the way back up, so the work per generated word is
-proportional to its critical prefix length.
+proportional to its critical prefix length.  The edge into child i
+(x = s + i) updates f[k] only for k < x, all that the child, whose
+s + t is x - 1, and its subtree read, and only from gamma's first
+symbol on.  A walk with no memo and no validation does not enter
+leaves (37% of the nodes at n = 21, 49% at n = 8, 36% at n = 23): the
+parent reads the child's first bound test before the swap, and counts
+a leaf, and visits it with a sink, itself.
+The five ``GenerationStats`` counters stay those of the reference walk,
+which enters every node and reads x + 1 symbols to update f on each
+edge; the walker adds them wherever it does less, as a memo hit does.
 
 The walk is one iterative loop over an explicit stack, so weight classes
 of any depth work, with the swap, membership test and f upkeep written
@@ -63,8 +72,9 @@ depend on the order, so a listing keeps one memo per order (``--cyclic``
 mixes ``reverse`` and ``coolex``).  Rows are sliced from the batch, so
 the batch is passed on only where no memoized node is pending.  The memo
 is off whenever a ``visit``, ``bound`` or ``validate`` is given, so
-library sinks, every validated run and ``bench`` walk every node, and
-pay for the memo one comparison per edge and one test per node.
+library sinks, every validated run and ``bench`` reach every node (a
+validated run enters each leaf, the others count it from its parent),
+and pay for the memo one comparison per edge and one test per node.
 
 The weight classes share no state, so once n is large enough for it to
 pay, ``_run_weights`` walks them in a pool of forked processes, one per
@@ -93,7 +103,16 @@ class GenerationInvariantError(AssertionError):
 
 @dataclass
 class GenerationStats:
-    """Visit count plus instrumentation counters for one generation run."""
+    """Visit count plus instrumentation counters for one generation run.
+
+    ``membership_calls``, ``symbol_reads`` and ``swaps`` are the cost model
+    of the reference walk, which enters every node, tests its children
+    left to right up to the first that fails (x - 2 symbols each, x = s + i
+    at child i), and on each edge swaps two symbols and reads x + 1 of
+    them to update ``f``.  A walk that does less (a leaf counted from its
+    parent, ``f`` kept only below x, a memoized subtree skipped) adds the
+    same numbers, so every walk of a class gives the same counters.
+    """
 
     count: int = 0
     cr_sum: int = 0
@@ -144,7 +163,19 @@ def _gen_weight(n: int, d: int, visit, order: str, validate: bool, bound=None, m
     window reads never need a bounds check.  ``f[i]`` is the maximum
     number of 1s over length-i windows of the current node's suffix
     (everything past the leading 1-run and 0-run) padded with zeros; it
-    is meaningful for i up to s+t and starts all zero at the root.
+    is meaningful for i up to s+t and starts all zero at the root.  An
+    edge into child i (x = s + i) updates f[k] for k < x only, the child's
+    s + t, and saves and restores that slice.
+
+    With no memo and no validation (``bench``, the library listings, with
+    or without a ``visit`` sink, and ``gen_bubble_pn``), leaves are
+    counted and visited from their parent: a node works out which of its
+    children have no child of their own before any swap, adds each such
+    leaf's counters (its edge's and its own: 1 word, cr x - 1, 1 bound
+    test, x + s - 1 reads, 2 swaps) and, with a sink, swaps, visits and
+    swaps back, with no f upkeep and no stack frame.  It enters only the
+    other children, whose first child is then known to be a member.
+    ``validate=True`` enters and checks every node.
 
     ``memo``, a dict, turns on the subtree memo (see the module
     docstring) for a run with no ``visit``, ``bound`` or ``validate``;
@@ -171,6 +202,9 @@ def _gen_weight(n: int, d: int, visit, order: str, validate: bool, bound=None, m
     pn = bound is None
     # an edge into child i of 1^s 0^t gamma leads to a node with s + t = x - 1
     memo_x = _MEMO_CR + 1 if memo is not None and visit is None and pn and not validate else 0
+    # 1 where leaves are counted and visited from their parent, which then
+    # enters only children that have children of their own
+    peel = 1 if pn and not validate and not memo_x else 0
     acc = None
     if lines is not None:
         acc, visit, spill = lines.acc, lines.sink, lines.spill
@@ -197,23 +231,48 @@ def _gen_weight(n: int, d: int, visit, order: str, validate: bool, bound=None, m
                 f"bound {j} != naive bound {expected} at {word_str(word)}")
 
     s, t = d, n - d
+    j = leaves = 0
     while True:  # buf and f hold the node 1^s 0^t gamma, just entered
         if pre:
             count += 1
             cr_sum += s + t
             if visit is not None:
                 visit(word)
-        j = 0
         if s and t:
             if pn:  # child i (swap s, s+i) stays prefix normal unless its
                 # window s+i..2(s+i-1) or f[s+i-1] reaches s ones
                 while j < t:
                     x = s + j + 1
-                    calls += 1
-                    reads += x - 2
                     if buf.count(1, x + 1, 2 * x - 1) + 1 >= s or f[x - 1] >= s:
                         break
                     j += 1
+                k = j + (j < t)  # tests made, the one that failed included
+                calls += k
+                reads += k * (s - 1) + k * (k - 1) // 2  # x - 2 each
+                if peel and j:  # bit i of leaves is set when child i is a leaf
+                    # Child i, 1^(s-1) 0^i 1 0^(t-i) gamma, is a leaf when its
+                    # first test fails: its window s+1..2s-2 is all 1s, or
+                    # f'[s-1] = max(f[s-1], ones(1 0^(t-i) gamma)) reaches s - 1.
+                    # The window is empty at s = 2; at s >= 3 it holds a 0
+                    # unless i = 1 and (s = 3 or t = 1 and gamma starts with
+                    # 1^(s-3)), and 1 0^(t-i) gamma starts with 1^(s-1) only
+                    # when i = t and gamma starts with 1^(s-2).
+                    if s < 3 or f[s - 1] >= s - 1:  # all of them
+                        if visit is None:  # their edges' and their own counters
+                            count += j
+                            cr_sum += j * (s - 1) + j * (j + 1) // 2
+                            calls += j
+                            reads += j * (2 * s - 1) + j * (j + 1) // 2
+                            swaps += 2 * j
+                            j = 0
+                        else:
+                            leaves = -1
+                    else:
+                        leaves = 0
+                        if s == 3 or t == 1 and buf.count(1, s + 2, 2 * s - 1) == s - 3:
+                            leaves = 2
+                        if j == t and buf.count(1, s + t + 1, 2 * s + t - 1) == s - 2:
+                            leaves |= 1 << t
             else:
                 j = bound(s, t, word)
                 if not 0 <= j <= t:
@@ -248,23 +307,44 @@ def _gen_weight(n: int, d: int, visit, order: str, validate: bool, bound=None, m
                         continue
                     pending.append((len(stack) + 1, key, count, cr_sum, calls, reads, swaps,
                                     0 if acc is None else len(acc)))
+                if leaves >> i & 1:  # a leaf: its edge's and its own counters
+                    count += 1
+                    cr_sum += x - 1
+                    calls += 1
+                    reads += x + s - 1
+                    swaps += 2
+                    if visit is not None:
+                        buf[s] = 0
+                        buf[x] = 1
+                        visit(word)
+                        buf[s] = 1
+                        buf[x] = 0
+                    continue
                 if validate:
                     entered.append((bytes(buf), f[:]))
                 buf[s] = 0
                 buf[x] = 1
-                if pn:
-                    saved = f[1:x + 2]
-                    ones = 0
-                    fi = 1
-                    for b in buf[x:2 * x + 1]:  # update_f(x)
+                if pn:  # f[k] = max(f[k], ones(buf[x..x+k-1])) for k < x, the
+                    # child's s + t; below k = t - i + 2 the window is 1 0^(k-1),
+                    # and f[k] >= 1 already at any node but the root, as its
+                    # gamma starts with a 1
+                    if stack:
+                        fi = t - i + 2
+                        ones = 1
+                    else:
+                        fi = 1
+                        ones = 0
+                    saved = f[fi:x]
+                    for b in buf[x + fi - 1:2 * x - 1]:
                         ones += b
                         if f[fi] < ones:
                             f[fi] = ones
                         fi += 1
-                    reads += x + 1
+                    reads += x + 1  # counted as the reference update: buf[x..2x]
                 swaps += 2
-                stack.append((s, t, i, j, saved))
+                stack.append((s, t, i, j, leaves, saved))
                 s, t = s - 1, i
+                j = peel  # a child that was not peeled has child 1: test from child 2
                 break
             if not pre:
                 count += 1
@@ -279,10 +359,10 @@ def _gen_weight(n: int, d: int, visit, order: str, validate: bool, bound=None, m
                     spill()
             if not stack:
                 return count, cr_sum, calls, reads, swaps
-            s, t, i, j, saved = stack.pop()  # back up to the parent
+            s, t, i, j, leaves, saved = stack.pop()  # back up to the parent
             x = s + i
             if pn:
-                f[1:x + 2] = saved
+                f[x - len(saved):x] = saved
             buf[s] = 1
             buf[x] = 0
             if validate and (bytes(buf), f[:]) != entered.pop():

@@ -181,10 +181,22 @@ class TestIsPrefixNormal:
         assert core.is_prefix_normal(w[:-1] + "0") is True
 
 
-    @pytest.mark.parametrize("n", range(0, 13))
+    @pytest.mark.parametrize("n", range(0, 15))
     def test_early_rejection_agrees_with_the_lane_kernel(self, n):
         for w in all_words(n):
             assert core.is_prefix_normal(w) == lane_kernel_is_prefix_normal(w), w
+
+    def test_agrees_with_the_lane_kernel_on_seeded_words_and_their_pnf(self):
+        # _within_prefix masks finished lanes off past 64 lanes, as the kernel
+        # does; the lengths cross that and the lane-width steps.  A word led
+        # by its longest 1-run passes the early run test, so the lanes decide.
+        rng = random.Random(1024)
+        for n in (*range(15, 70), 127, 128, 255, 256, 500, 1024):
+            for _ in range(4):
+                w = format(rng.getrandbits(n), f"0{n}b")
+                longest = max(map(len, w.split("0")))
+                for v in (w, core.pnf(w), core.pnf(w)[:-1] + "1", "1" * longest + w[longest:]):
+                    assert core.is_prefix_normal(v) == lane_kernel_is_prefix_normal(v), v
 
     def test_early_rejection_on_long_words(self):
         # random words (almost all refused by a later, longer 1-run), and

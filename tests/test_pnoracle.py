@@ -78,14 +78,41 @@ class TestGenerateAll:
     def test_n1_listing(self):
         assert pnoracle.pn_words(1) == ["0", "1"]
 
-    @pytest.mark.parametrize("n", range(0, 13))
+    @pytest.mark.parametrize("n", range(0, 17))
     def test_validated_run_matches_plain_run(self, n):
-        plain = bubble.Collector()
-        checked = bubble.Collector()
-        plain_stats = pnoracle.generate_all_pn(n, plain)
-        checked_stats = pnoracle.generate_all_pn(n, checked, validate=True)  # raises on drift
-        assert plain.words == checked.words
-        assert checked_stats == plain_stats
+        # a plain run counts and visits leaves from their parent, and counts
+        # the children of a node whose children are all leaves at once when
+        # it has no sink; a validated run enters and checks every node
+        runs = [functools.partial(pnoracle.generate_all_pn, n),
+                functools.partial(pnoracle.generate_all_pn, n, order="visit-first"),
+                functools.partial(pnoracle.generate_all_pn_cyclic, n),
+                *(functools.partial(pnoracle.gen_bubble_pn, n, d) for d in range(n + 1))]
+        for run in runs:
+            plain = bubble.Collector()
+            checked = bubble.Collector()
+            plain_stats = run(plain)
+            checked_stats = run(checked, validate=True)  # raises on drift
+            assert plain.words == checked.words
+            assert counters(checked_stats) == counters(plain_stats) == counters(run())
+
+    def test_validated_run_enters_every_node(self, monkeypatch):
+        # check_node runs core.max_ones once per node entered, so a validated
+        # run must not peel its leaves
+        calls = []
+        real = core.max_ones
+
+        def counting(w):
+            calls.append(w)
+            return real(w)
+        monkeypatch.setattr(core, "max_ones", counting)
+        for n in (9, 14):
+            for run in (pnoracle.generate_all_pn, pnoracle.generate_all_pn_cyclic):
+                calls.clear()
+                stats = run(n, validate=True)
+                assert len(calls) == stats.count == COUNTERS[n][0]
+                calls.clear()
+                run(n)
+                assert calls == []
 
     def test_validation_checks_f_against_the_lane_kernel(self, monkeypatch):
         # the walker keeps f itself and never runs the kernel; a validated
@@ -299,9 +326,11 @@ class TestStatsAndInstrumentation:
 
     @pytest.mark.parametrize("n", range(6, 15))
     def test_symbol_reads_track_total_critical_prefix(self, n):
-        # per word: one f-update scan of about cr symbols on the way down
-        # plus oracle windows of the same magnitude, so reads stay within
-        # a small constant multiple of the summed critical prefix lengths
+        # symbol_reads is the reference walk's cost model: per tree edge an
+        # f update of x + 1 symbols, and per bound test a window of x - 2,
+        # x about the child's cr (the walk itself reads less: f only below
+        # x, and nothing of a leaf's own edge); so reads stay within a small
+        # constant multiple of the summed critical prefix lengths
         stats = pnoracle.generate_all_pn(n)
         assert 0.5 * stats.cr_sum <= stats.symbol_reads <= 6 * stats.cr_sum
 
