@@ -15,10 +15,10 @@ from a saved slice on the way back up, so the work per generated word is
 proportional to its critical prefix length.  The edge into child i
 (x = s + i) updates f[k] only for k < x, all that the child, whose
 s + t is x - 1, and its subtree read, and only from gamma's first
-symbol on.  A walk with no memo and no validation does not enter
-leaves (37% of the nodes at n = 21, 49% at n = 8, 36% at n = 23): the
-parent reads the child's first bound test before the swap, and counts
-a leaf, and visits it with a sink, itself.
+symbol on.  A walk with no memo, no validation and no ``visit`` sink
+does not enter leaves (37% of the nodes at n = 21, 49% at n = 8, 36%
+at n = 23): the parent reads the child's first bound test before the
+swap, and counts a leaf itself.
 The five ``GenerationStats`` counters stay those of the reference walk,
 which enters every node and reads x + 1 symbols to update f on each
 edge; the walker adds them wherever it does less, as a memo hit does.
@@ -72,9 +72,9 @@ depend on the order, so a listing keeps one memo per order (``--cyclic``
 mixes ``reverse`` and ``coolex``).  Rows are sliced from the batch, so
 the batch is passed on only where no memoized node is pending.  The memo
 is off whenever a ``visit``, ``bound`` or ``validate`` is given, so
-library sinks, every validated run and ``bench`` reach every node (a
-validated run enters each leaf, the others count it from its parent),
-and pay for the memo one comparison per edge and one test per node.
+library sinks, every validated run and ``bench`` reach every node
+(``bench`` counts each leaf from its parent, the others enter it), and
+pay for the memo one comparison per edge and one test per node.
 
 The weight classes share no state, so once n is large enough for it to
 pay, ``_run_weights`` walks them in a pool of forked processes, one per
@@ -167,15 +167,14 @@ def _gen_weight(n: int, d: int, visit, order: str, validate: bool, bound=None, m
     edge into child i (x = s + i) updates f[k] for k < x only, the child's
     s + t, and saves and restores that slice.
 
-    With no memo and no validation (``bench``, the library listings, with
-    or without a ``visit`` sink, and ``gen_bubble_pn``), leaves are
-    counted and visited from their parent: a node works out which of its
-    children have no child of their own before any swap, adds each such
-    leaf's counters (its edge's and its own: 1 word, cr x - 1, 1 bound
-    test, x + s - 1 reads, 2 swaps) and, with a sink, swaps, visits and
-    swaps back, with no f upkeep and no stack frame.  It enters only the
+    With no memo, no validation and no sink (``bench`` and the library
+    runs without a ``visit``), leaves are counted from their parent: a
+    node works out which of its children have no child of their own
+    before any swap and adds each such leaf's counters (its edge's and
+    its own: 1 word, cr x - 1, 1 bound test, x + s - 1 reads, 2 swaps),
+    with no swap, no f upkeep and no stack frame.  It enters only the
     other children, whose first child is then known to be a member.
-    ``validate=True`` enters and checks every node.
+    A run with a sink, ``lines`` or ``validate=True`` enters every node.
 
     ``memo``, a dict, turns on the subtree memo (see the module
     docstring) for a run with no ``visit``, ``bound`` or ``validate``;
@@ -187,9 +186,10 @@ def _gen_weight(n: int, d: int, visit, order: str, validate: bool, bound=None, m
     the rows of each memoized subtree, and a spill wherever no memoized
     node is pending after a memo hit or store.
 
-    One loop over a stack of frames (s, t, i, j, saved): parent node
-    1^s 0^t gamma, current child i, the parent's bound j, and the f
-    segment the child's update overwrote.
+    One loop over a stack of frames (s, t, i, j, leaves, saved): parent
+    node 1^s 0^t gamma, current child i, the parent's bound j, the bitmask
+    of the children counted from the parent (bit i for child i), and the
+    f segment the child's update overwrote.
     """
     if not 0 <= d <= n:
         raise ValueError(f"need 0 <= d <= n, got d={d}, n={n}")
@@ -202,13 +202,13 @@ def _gen_weight(n: int, d: int, visit, order: str, validate: bool, bound=None, m
     pn = bound is None
     # an edge into child i of 1^s 0^t gamma leads to a node with s + t = x - 1
     memo_x = _MEMO_CR + 1 if memo is not None and visit is None and pn and not validate else 0
-    # 1 where leaves are counted and visited from their parent, which then
-    # enters only children that have children of their own
-    peel = 1 if pn and not validate and not memo_x else 0
     acc = None
     if lines is not None:
         acc, visit, spill = lines.acc, lines.sink, lines.spill
         rows_seen = {}  # one object per distinct row: an entry's rows are its pointers
+    # 1 where leaves are counted from their parent, which then enters only
+    # children that have children of their own
+    peel = 1 if pn and not validate and not memo_x and visit is None else 0
     count = cr_sum = calls = reads = swaps = 0
     stack = []
     pending = []  # (depth, key, counters and len(acc) before its edge) per memoized node walked
@@ -258,15 +258,13 @@ def _gen_weight(n: int, d: int, visit, order: str, validate: bool, bound=None, m
                     # 1^(s-3)), and 1 0^(t-i) gamma starts with 1^(s-1) only
                     # when i = t and gamma starts with 1^(s-2).
                     if s < 3 or f[s - 1] >= s - 1:  # all of them
-                        if visit is None:  # their edges' and their own counters
-                            count += j
-                            cr_sum += j * (s - 1) + j * (j + 1) // 2
-                            calls += j
-                            reads += j * (2 * s - 1) + j * (j + 1) // 2
-                            swaps += 2 * j
-                            j = 0
-                        else:
-                            leaves = -1
+                        # their edges' and their own counters
+                        count += j
+                        cr_sum += j * (s - 1) + j * (j + 1) // 2
+                        calls += j
+                        reads += j * (2 * s - 1) + j * (j + 1) // 2
+                        swaps += 2 * j
+                        j = 0
                     else:
                         leaves = 0
                         if s == 3 or t == 1 and buf.count(1, s + 2, 2 * s - 1) == s - 3:
@@ -313,12 +311,6 @@ def _gen_weight(n: int, d: int, visit, order: str, validate: bool, bound=None, m
                     calls += 1
                     reads += x + s - 1
                     swaps += 2
-                    if visit is not None:
-                        buf[s] = 0
-                        buf[x] = 1
-                        visit(word)
-                        buf[s] = 1
-                        buf[x] = 0
                     continue
                 if validate:
                     entered.append((bytes(buf), f[:]))

@@ -80,9 +80,9 @@ class TestGenerateAll:
 
     @pytest.mark.parametrize("n", range(0, 17))
     def test_validated_run_matches_plain_run(self, n):
-        # a plain run counts and visits leaves from their parent, and counts
-        # the children of a node whose children are all leaves at once when
-        # it has no sink; a validated run enters and checks every node
+        # a run with no sink counts leaves from their parent, and the
+        # children of a node whose children are all leaves at once; a run
+        # with a sink enters every node, and a validated one also checks it
         runs = [functools.partial(pnoracle.generate_all_pn, n),
                 functools.partial(pnoracle.generate_all_pn, n, order="visit-first"),
                 functools.partial(pnoracle.generate_all_pn_cyclic, n),
