@@ -54,8 +54,8 @@ count(buf'[x..2x-4]) + 1 >= s' or f'[x-2] >= s'.  As ones(buf'[x..2x-3])
 <= count(buf'[x..2x-4]) + 1, that test equals count(...) + 1 >= s' or
 f[x-2] >= s', which the key fixes.  C's descendants have c <= x - 2 and
 read f only below x - 2.  So equal keys root equal subtrees.  Nothing
-in it depends on n or d, so one memo serves every class of a serial
-run.  The walk looks the key up before the swap: if it is stored, the
+in it depends on n or d, so one memo serves every class that a
+process walks.  The walk looks the key up before the swap: if it is stored, the
 walk adds the stored counters and goes on to the next child, so a hit
 makes no edge (no swap, no f upkeep, no restore); if not, it takes the
 edge and stores the change in the counters from before the edge to C's
@@ -78,13 +78,18 @@ pay for the memo one comparison per edge and one test per node.
 
 The weight classes share no state, so once n is large enough for it to
 pay, ``_run_weights`` walks them in a pool of forked processes, one per
-usable core, in listing order with one class per worker of lookahead.
-A counting run (no ``visit`` sink) sums their counters; a listing run
-(a ``write``, from the CLI) also gets each class's text, which its worker
-renders through ``bubble._lines`` into 64 KiB batches of whole lines,
-and the parent writes the batches as they are, in listing order.  A
-memoized run gives each class a memo of its own in its worker, so the
-parent holds none.  A library call with a ``visit`` sink stays serial.
+usable core.  A memoized count runs one task per worker, and the tasks
+claim classes from a shared claim state until none is left: with two
+workers one climbs from d = 0 and the other descends from d = n until
+they meet.  Each walks its classes with one memo, as a serial run does,
+and the parent, which holds none, sums their counters.  Other runs go
+out one class per task, in listing order with one class per worker of
+lookahead.  A count with no memo (no ``visit`` sink) sums their
+counters; a listing run (a ``write``, from the CLI) also gets each
+class's text, which its worker renders, with a memo of the class's own,
+through ``bubble._lines`` into 64 KiB batches of whole lines, and the
+parent writes the batches as they are, in listing order.  A library
+call with a ``visit`` sink stays serial.
 """
 
 import os
@@ -382,10 +387,12 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
-def _fork_pool(workers):
+def _fork_pool(workers, claims=0):
     """A ``multiprocessing.Pool`` of forked workers that ignore SIGINT, or
     None when no pool can be started.  Ctrl-C reaches the parent, whose
-    ``with`` exit terminates them.
+    ``with`` exit terminates them.  With claims, the workers also inherit
+    the claim state of that many classes for ``_walk_claimed``: a shared
+    anonymous ``mmap`` of one byte per class, all free, and a lock.
 
     The workers are forked whatever the default start method is: spawn
     and forkserver workers import the caller's main module again, which
@@ -394,37 +401,88 @@ def _fork_pool(workers):
     (Windows) or unsafe: on macOS, whose system libraries may start
     threads; while other threads run, as a lock one of them holds would
     stay locked in the child; and in a daemonic process, such as a
-    ``multiprocessing.Pool`` worker, which may not have children."""
+    ``multiprocessing.Pool`` worker, which may not have children.  It
+    also stays serial where the claim state cannot be made."""
     import multiprocessing
-    import signal
     import threading
     if (sys.platform == "darwin" or threading.active_count() > 1
             or multiprocessing.current_process().daemon):
         return None
     try:
         context = multiprocessing.get_context("fork")
-        return context.Pool(workers, signal.signal, (signal.SIGINT, signal.SIG_IGN))
+        shared = None
+        if claims:
+            import mmap
+            shared = mmap.mmap(-1, claims), context.Lock()
+        return context.Pool(workers, _start_worker, (shared,))
     except (ValueError, OSError, ImportError):  # no fork, no semaphores, or no sem_open
         return None
 
 
-def _walk(n, d, visit, order, validate, memo, lines=None):
-    """``_gen_weight``, passed a memo and lines only when there are."""
-    if memo is None and lines is None:
-        return _gen_weight(n, d, visit, order, validate)
-    return _gen_weight(n, d, visit, order, validate, memo=memo, lines=lines)
+_claims = None  # in a pool worker: the claim state it inherited, or None
 
 
-def _walk_class(n, d, order, validate, render, memoize=False):
-    """One pool task: the counters of the weight-d class and, when render
-    is set, its listing as the text batches of ``bubble._lines``.  With
-    memoize, the class gets a memo of its own."""
-    batches = []
-    lines = bubble._lines(batches.append) if render else None
-    counts = _walk(n, d, None, order, validate, {} if memoize else None, lines)
-    if render:
+def _start_worker(claims):
+    """Pool initializer: leave Ctrl-C to the parent and keep the claims."""
+    import signal
+    global _claims
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _claims = claims
+
+
+def _claimed(taken, lock):
+    """Claim indices of ``taken``, one byte per class that is set once the
+    class is claimed, and yield each until none is free.  A claimer keeps
+    going in its direction (first up from -1) while the next index is
+    free, and otherwise takes the top of the longest free run, highest
+    first on a tie, and goes down from there.  Two claimers thus split
+    the classes into two contiguous runs, one climbing from 0 and one
+    descending from the top, however their claims interleave."""
+    p, step = -1, 1
+    while True:
+        with lock:
+            p += step
+            if not 0 <= p < len(taken) or taken[p]:
+                best = run = 0
+                for k in range(len(taken) - 1, -1, -1):
+                    run = 0 if taken[k] else run + 1
+                    if run > best:
+                        best, p = run, k + run - 1
+                if not best:
+                    return
+                step = -1
+            taken[p] = 1
+        yield p
+
+
+def _walk_classes(n, classes, visit, validate, memoize, write=None):
+    """The counters of each (weight, order) class of ``classes``, walked in
+    its order, with one memo per order, shared by the classes, when
+    memoize; a write gets the listing's text in ``bubble._lines`` batches."""
+    lines = None if write is None else bubble._lines(write)
+    memos = {}  # order -> memo: the rows of a subtree depend on the order
+    results = [_gen_weight(n, d, visit, order, validate,
+                           memo=memos.setdefault(order, {}) if memoize else None, lines=lines)
+               for d, order in classes]
+    if lines is not None:
         lines.flush()
+    return results
+
+
+def _walk_class(n, d, order, validate, render):
+    """One task of a pooled listing, or of a count with no memo: the
+    counters of the weight-d class and, when render is set, its listing
+    as text batches, made with a memo of the class's own."""
+    batches = []
+    (counts,) = _walk_classes(n, [(d, order)], None, validate, render,
+                              batches.append if render else None)
     return counts, batches
+
+
+def _walk_claimed(n, classes):
+    """One task of a pooled memoized count: the counters of each class the
+    worker claims, walked with one memo per order."""
+    return _walk_classes(n, map(classes.__getitem__, _claimed(*_claims)), None, False, True)
 
 
 def _run_weights(n, classes, visit, validate, write=None, memoize=False):
@@ -432,38 +490,41 @@ def _run_weights(n, classes, visit, validate, write=None, memoize=False):
 
     Library callers pass a ``visit`` sink, or None to only count; the CLI
     passes ``write`` instead, never both, which gets the listing's text
-    in the batches of ``bubble._lines``.  In a process pool when
-    n >= ``_POOL_MIN_N``, more than one core and class are usable, there
-    is no ``visit`` and, with a ``write``, n <= ``_RENDER_MAX_N``.
-    Classes are submitted in listing order with at most ``workers`` held
-    ahead of the one being consumed, so a rendering parent holds few
-    classes, and their batches are written as they are, in listing order.
-    Otherwise, or when no pool can be started, the classes are walked
-    serially.  A listing through write, and a counting run with memoize,
-    use the subtree memo: a serial run one memo per order, shared by the
-    classes, a pooled run one memo per class, in its worker."""
+    in the batches of ``bubble._lines``.  A listing through write, and a
+    counting run with memoize, use the subtree memo, one per order.
+
+    In a process pool when n >= ``_POOL_MIN_N``, more than one core and
+    class are usable, there is no ``visit`` and, with a ``write``,
+    n <= ``_RENDER_MAX_N``.  A memoized count runs one task per worker,
+    which claims classes (see ``_claimed``) until none is left and walks
+    them with a memo that serves all of them, so with two workers one
+    climbs from the lightest class and the other descends from the
+    heaviest.  Other runs submit one task per class, in listing order
+    with at most ``workers`` held ahead of the one being consumed, so a
+    rendering parent holds few classes, and their batches are written as
+    they are, in listing order; each class of a listing gets a memo of
+    its own.  Otherwise, or when no pool can be started, the classes are
+    walked serially."""
     memoize = memoize or write is not None
+    claim = memoize and write is None
     workers = min(_cores(), len(classes))
     pool = None
     if (n >= _POOL_MIN_N and workers > 1  # checked before the multiprocessing import
             and visit is None and (write is None or n <= _RENDER_MAX_N)):
-        pool = _fork_pool(workers)
+        pool = _fork_pool(workers, len(classes) if claim else 0)
     if pool is None:
-        lines = None if write is None else bubble._lines(write)
-        memos = {}  # order -> memo: the rows of a subtree depend on the order
-        results = [_walk(n, d, visit, order, validate,
-                         memos.setdefault(order, {}) if memoize else None, lines)
-                   for d, order in classes]
-        if lines is not None:
-            lines.flush()
+        results = _walk_classes(n, classes, visit, validate, memoize, write)
+    elif claim:
+        with pool:
+            tasks = [pool.apply_async(_walk_claimed, (n, classes)) for _ in range(workers)]
+            results = [counts for task in tasks for counts in task.get()]
     else:
         render = write is not None
         results = []
         with pool:
             pending = deque()
             for k, (d, order) in enumerate(classes, 1):
-                pending.append(pool.apply_async(_walk_class,
-                                                   (n, d, order, validate, render, memoize)))
+                pending.append(pool.apply_async(_walk_class, (n, d, order, validate, render)))
                 while len(pending) > (workers if k < len(classes) else 0):  # all after the last
                     counts, batches = pending.popleft().get()
                     results.append(counts)

@@ -247,7 +247,7 @@ def pooled(monkeypatch):
         def pool(workers, *args):
             made.append(workers)
             return context.Pool(workers, *args)
-        return SimpleNamespace(Pool=pool)
+        return SimpleNamespace(Pool=pool, Lock=context.Lock)
 
     monkeypatch.setattr(multiprocessing, "get_context", recording)
     monkeypatch.setattr(pnoracle, "_POOL_MIN_N", 0)

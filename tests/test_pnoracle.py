@@ -4,9 +4,11 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from fractions import Fraction
 from itertools import groupby
+from multiprocessing.pool import ThreadPool
 from types import SimpleNamespace
 
 import pytest
@@ -57,7 +59,7 @@ def counters(stats):
     return (stats.count, stats.cr_sum, stats.membership_calls, stats.symbol_reads, stats.swaps)
 
 
-def _broken_walk(n, d, visit, order, validate):
+def _broken_walk(n, d, visit, order, validate, **memo_and_lines):
     # module level, so a worker can unpickle it under any start method
     raise pnoracle.GenerationInvariantError(f"weight {d} of {n} failed")
 
@@ -645,6 +647,31 @@ class TestWeightPool:
         assert counters(pnoracle.count_all_pn(n)) == COUNTERS[n]
         assert pooled == ([2] if n else [])
 
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_claiming_count_matches_recorded_table(self, pooled, monkeypatch, workers):
+        monkeypatch.setattr(pnoracle, "_cores", lambda: workers)
+        for n in range(17):
+            assert counters(pnoracle.count_all_pn(n)) == COUNTERS[n], n
+        assert pooled == [min(workers, n + 1) for n in range(1, 17)]
+
+    @pytest.mark.parametrize("missing", ["shared memory", "semaphores"])
+    def test_claim_state_that_cannot_be_made_runs_serially(self, monkeypatch, missing):
+        import mmap
+
+        def refuse(*args):
+            raise (OSError if missing == "shared memory" else ImportError)(f"no {missing}")
+
+        made = []
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: SimpleNamespace(
+            Pool=lambda *args: made.append(args),
+            Lock=refuse if missing == "semaphores" else threading.Lock))
+        if missing == "shared memory":
+            monkeypatch.setattr(mmap, "mmap", refuse)
+        monkeypatch.setattr(pnoracle, "_POOL_MIN_N", 0)
+        monkeypatch.setattr(pnoracle, "_cores", lambda: 2)
+        assert counters(pnoracle.count_all_pn(12)) == COUNTERS[12]
+        assert made == []
+
     def test_spawn_start_method(self, tmp_path):
         # a script with no __main__ guard: spawned workers would import it
         # again and count once more each, so the pool forks its workers
@@ -745,7 +772,9 @@ class TestWeightPool:
         monkeypatch.setattr(pnoracle, "_gen_weight", _broken_walk)
         with pytest.raises(pnoracle.GenerationInvariantError, match=r"weight \d of 6 failed"):
             pnoracle.generate_all_pn(6, validate=True)
-        assert pooled == [2]
+        with pytest.raises(pnoracle.GenerationInvariantError, match=r"weight \d of 6 failed"):
+            pnoracle.count_all_pn(6)  # through the claiming tasks
+        assert pooled == [2, 2]
 
 
 class FakePool:
@@ -774,13 +803,14 @@ class FakePool:
 
 
 class TestPoolLoop:
-    """The one pool loop of _run_weights: classes go out in listing order
-    with at most one per worker ahead of the one consumed."""
+    """The pool loops of _run_weights: a memoized count runs one claiming
+    task per worker; other runs send classes out in listing order with at
+    most one per worker ahead of the one consumed."""
 
     @pytest.fixture
     def fake_pool(self, monkeypatch):
         pool = FakePool()
-        monkeypatch.setattr(pnoracle, "_fork_pool", lambda workers: pool)
+        monkeypatch.setattr(pnoracle, "_fork_pool", lambda workers, claims=0: pool)
         monkeypatch.setattr(pnoracle, "_POOL_MIN_N", 0)
         return pool
 
@@ -792,12 +822,63 @@ class TestPoolLoop:
         assert fake_pool.submitted == classes
         assert fake_pool.most == workers + 1 and fake_pool.outstanding == 0
 
-    def test_memoized_counting_gives_each_class_its_own_memo(self, fake_pool, monkeypatch,
-                                                             walks):
-        monkeypatch.setattr(pnoracle, "_cores", lambda: 2)
-        assert counters(pnoracle.count_all_pn(12)) == COUNTERS[12]
-        assert fake_pool.submitted == pnoracle._classes(12)
-        assert len(walks) == 13 and len({id(memo) for memo in walks}) == 13
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_memoized_counting_claims_each_class_once(self, monkeypatch, workers):
+        # the claiming tasks run as threads that switch every microsecond,
+        # so their claims interleave
+        seen = []
+        real = pnoracle._gen_weight
+
+        def spy(n, d, visit, order, validate, **kwargs):
+            seen.append((threading.get_ident(), d, kwargs["memo"]))
+            return real(n, d, visit, order, validate, **kwargs)
+
+        def thread_pool(workers, claims=0):
+            monkeypatch.setattr(pnoracle, "_claims", (bytearray(claims), threading.Lock()))
+            return ThreadPool(workers)
+
+        monkeypatch.setattr(pnoracle, "_gen_weight", spy)
+        monkeypatch.setattr(pnoracle, "_fork_pool", thread_pool)
+        monkeypatch.setattr(pnoracle, "_POOL_MIN_N", 0)
+        monkeypatch.setattr(pnoracle, "_cores", lambda: workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for n in (0, 1, 2, 12):  # fewer classes than workers below n = 2
+                seen.clear()
+                assert counters(pnoracle.count_all_pn(n)) == COUNTERS[n], n
+                assert sorted(d for _, d, _ in seen) == list(range(n + 1)), n
+                memos = {}  # thread -> the memos it walked with: one per task
+                for thread, _, memo in seen:
+                    memos.setdefault(thread, {})[id(memo)] = memo
+                assert all(len(task) == 1 for task in memos.values()), n
+                assert len({id(memo) for _, _, memo in seen}) == len(memos) <= workers, n
+        finally:
+            sys.setswitchinterval(interval)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(size=st.integers(0, 24), claimers=st.sampled_from([2, 3]),
+           schedule=st.lists(st.integers(0, 2), max_size=60))
+    def test_claim_rule(self, size, claimers, schedule):
+        # any interleaving: each class is claimed once, and two claimers
+        # each claim one contiguous run, one climbing and one descending
+        taken, lock = bytearray(size), threading.Lock()
+        claims = [pnoracle._claimed(taken, lock) for _ in range(claimers)]
+        got = [[] for _ in claims]
+        live = list(range(claimers))
+        turns = iter(schedule)
+        while live:
+            k = live[next(turns, 0) % len(live)]
+            p = next(claims[k], None)
+            if p is None:
+                live.remove(k)
+            else:
+                got[k].append(p)
+        assert sorted(sum(got, [])) == list(range(size)) and all(taken)
+        if claimers == 2:
+            for run in got:
+                assert run in (sorted(run), sorted(run, reverse=True))
+                assert sorted(run) == list(range(min(run, default=0), max(run, default=-1) + 1))
 
     @pytest.mark.parametrize("workers", [2, 3])
     @ORDERS
