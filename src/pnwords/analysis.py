@@ -2,7 +2,7 @@
 
 Includes the Gray-closeness checker (close: at most two positions go 1->0
 and at most two go 0->1), which reads listing bytes (``feed_bytes``) and
-checks each run of whole lines in a few big-int operations,
+checks each run of whole lines as bit lanes of one integer, any width,
 critical-prefix sums, prefix-normal-form equivalence classes, sampled
 critical prefixes of prefix normal forms, and the rejection-rate table
 for the two-phase membership tester's linear phase.  The sum over all
@@ -19,6 +19,7 @@ import io
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import log2
 from operator import add
 
@@ -67,32 +68,33 @@ def gray_close(p: int, q: int) -> bool:
     return p <= 2 and q <= 2
 
 
-# A line's changed positions are summed in one byte lane, which holds n <= 255.
-_LANE_MAX = 255
-_CLOSE_LANES = bytes(range(3))  # p or q of a close pair
+_NEWLINE_TO_0 = bytes.maketrans(b"\n", b"0")
+
+
+@lru_cache(maxsize=8)  # a stream's blocks take two or three line counts
+def _lane_bits(w, k):  # mask of lanes 1..k-1 of k w-bit lanes, G (their bit 0s), 2G
+    g = ((1 << w * k) - (1 << w)) // ((1 << w) - 1)
+    return (1 << w * k) - (1 << w), g, g << 1
 
 
 def _lanes_close(block, w):
-    """Is every pair of consecutive lines of block close?  block is k >= 2
-    whole lines of w - 1 <= _LANE_MAX bytes b"0"/b"1" and a b"\n".
+    """Is every pair of consecutive lines of block close?  block is k >= 1
+    whole lines of w - 1 bytes b"0"/b"1" and a b"\n".
 
-    Byte i of block is digit i of x, and x >> 8w puts the next line's
-    bytes under each line's.  Each digit of d = x ^ b is 1 where the pair
-    differs (newlines cancel), so digits of x & d mark 1 -> 0 changes and
-    digits of b & d mark 0 -> 1 changes.  Times r = 1 + 256 + ... +
-    256^(w-1), digit j sums the w digits up to j; each such window holds
-    at most w - 1 <= 255 changes, so no digit carries, and the digit in a
-    line's newline column is that line's p (or q).  The last line has no
-    next line: x & d keeps its raw bytes, whose sums carry only upward,
-    above the k - 1 digits read."""
-    x = int.from_bytes(block, "little")
-    b = x >> 8 * w
-    d = x ^ b
-    r = int.from_bytes(b"\x01" * w, "little")
-    size, lanes = len(block) + w, slice(w - 1, len(block) - w, w)
-    return not any(
-        (m * r).to_bytes(size, "little")[lanes].translate(None, _CLOSE_LANES)
-        for m in (x & d, b & d))
+    Read in base 2 with newlines as 0, line j is lane k - 1 - j (w bits) of
+    x; y = x << w puts its next line under it, and in lanes 1..k-1, x & d
+    and y & d hold the 1 -> 0 and 0 -> 1 changes.  m & m - 2G | G, with a
+    guard G at each lane's bit 0, clears every lane's lowest change: a lane
+    with none borrows from the guard above, so lanes never carry."""
+    x = int(block.translate(_NEWLINE_TO_0), 2)
+    y = x << w
+    mask, g, g2 = _lane_bits(w, len(block) // w)
+    d = (x ^ y) & mask
+    for m in (x & d | g, y & d | g):
+        m = m & m - g2 | g
+        if m & m - g2 | g != g:  # a change is left after two rounds: p (or q) > 2
+            return False
+    return True
 
 
 class GrayChecker:
@@ -136,25 +138,23 @@ class GrayChecker:
         """Feed every line of block and return how many were fed, or feed
         nothing and return 0 when block is not a run of whole lines of
         0/1 bytes, each ending in b"\n", with the width of the words fed
-        so far and n <= 255.  The caller then feeds its lines one at a
-        time, which names a bad line.  Checker state and report are those
-        of feeding each line's word."""
+        so far.  The caller then feeds its lines one at a time, which
+        names a bad line.  State and report are those of feeding each line."""
         w = block.find(b"\n") + 1
         k = len(block) // w if w else 0
         newlines = b"\n" * k
-        if (not 1 < w <= _LANE_MAX + 1 or len(block) != k * w
+        if (w < 2 or len(block) != k * w
                 or block[w - 1::w] != newlines or block.translate(None, b"01") != newlines
                 or self._prev is not None and len(self._prev[0]) != w - 1):
             return 0
         self.feed(block[:w - 1].decode())  # the pair across the block boundary
-        if k > 1:
-            if _lanes_close(block, w):
-                last = block[-w:-1].decode()
-                self._prev = last, int(last, 2)
-                self._index += k - 1
-            else:  # find the violations one pair at a time
-                for word in block[w:-1].decode().split("\n"):
-                    self.feed(word)
+        if _lanes_close(block, w):
+            last = block[-w:-1].decode()
+            self._prev = last, int(last, 2)
+            self._index += k - 1
+        else:  # find the violations one pair at a time
+            for word in block[w:-1].decode().split("\n"):
+                self.feed(word)
         return k
 
     def feed_bytes(self, data: bytes) -> None:

@@ -135,6 +135,43 @@ def _block_report(words, cyclic, size):
     return checker.finish()
 
 
+def _kernel_agrees(kernel, n):
+    """Does kernel give the pairwise closeness of 40 seeded blocks of
+    length-n words, with 0-5 flips or a jump between lines?"""
+    rng = random.Random(n)
+    for _ in range(40):
+        x = rng.getrandbits(n)
+        words = [format(x, f"0{n}b")]
+        for _ in range(rng.randrange(1, 6)):
+            if rng.random() < 0.2:
+                x = rng.choice([0, (1 << n) - 1, rng.getrandbits(n)])
+            else:
+                for _ in range(rng.randrange(6)):
+                    x ^= 1 << rng.randrange(n)
+            words.append(format(x, f"0{n}b"))
+        want = all(analysis.gray_close(*analysis.transposition_counts(u, v))
+                   for u, v in zip(words, words[1:]))
+        if kernel(_lines(words), n + 1) != want:
+            return False
+    return True
+
+
+def _rounds_kernel(rounds):
+    """_lanes_close clearing each lane's lowest change rounds times, not
+    twice: a mutant unless rounds == 2."""
+    def kernel(block, w):
+        x = int(block.translate(analysis._NEWLINE_TO_0), 2)
+        mask, g, g2 = analysis._lane_bits(w, len(block) // w)
+        d = (x ^ x << w) & mask
+        for m in (x & d | g, x << w & d | g):
+            for _ in range(rounds):
+                m = m & m - g2 | g
+            if m != g:
+                return False
+        return True
+    return kernel
+
+
 def _injected_listing(n, cyclic, seed):
     """A seeded generator listing with violations.  A complemented word
     breaks both of its pairs: the first pair and the wrap pair (word 0),
@@ -184,22 +221,58 @@ class TestGrayBlocks:
         words = _injected_listing(12, False, 0)
         assert _block_report(words, False, 3) != _pairwise_report(words, False)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 17, 254, 255])
+    def test_a_kernel_that_clears_once_or_three_times_is_caught(self, monkeypatch):
+        assert _kernel_agrees(_rounds_kernel(2), 40)  # the kernel's own two rounds
+        # one round rejects p = 2: the pairwise closeness catches it
+        assert not _rounds_kernel(1)(_lines(["0000", "1100"]), 5)
+        assert not _kernel_agrees(_rounds_kernel(1), 40)
+        # three rounds accept p = 3: the pairwise report catches it as well
+        assert _rounds_kernel(3)(_lines(["0000", "1110"]), 5)
+        assert not _kernel_agrees(_rounds_kernel(3), 40)
+        monkeypatch.setattr(analysis, "_lanes_close", _rounds_kernel(3))
+        words = _injected_listing(12, False, 0)
+        assert _block_report(words, False, 3) != _pairwise_report(words, False)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 29, 30, 31, 32, 63, 64, 65, 254, 255,
+                                   256, 300, 1024])
     def test_kernel_matches_pairwise_closeness(self, n):
+        assert _kernel_agrees(analysis._lanes_close, n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 29, 30, 31, 63, 64, 65, 256, 1024])
+    def test_kernel_at_the_limit(self, n):
+        """Pairs with p and q in 0..3 at the ends and inside of each lane,
+        between lines with no change (whose borrow runs through the whole
+        lane into the guard above), in blocks of k = 1 and k = 2 lines and
+        inside longer ones."""
         rng = random.Random(n)
-        for _ in range(40):
-            x = rng.getrandbits(n)
-            words = [format(x, f"0{n}b")]
-            for _ in range(rng.randrange(1, 6)):
-                if rng.random() < 0.2:
-                    x = rng.choice([0, (1 << n) - 1, rng.getrandbits(n)])
-                else:
-                    for _ in range(rng.randrange(6)):
-                        x ^= 1 << rng.randrange(n)
-                words.append(format(x, f"0{n}b"))
-            want = all(analysis.gray_close(*analysis.transposition_counts(u, v))
-                       for u, v in zip(words, words[1:]))
+        zeros, ones = "0" * n, "1" * n
+        for line in (zeros, ones, format(rng.getrandbits(n), f"0{n}b")):
+            assert analysis._lanes_close(_lines([line]), n + 1)
+        for p in range(min(n, 3) + 1):
+            for q in range(min(n - p, 3) + 1):
+                for _ in range(6):
+                    order = rng.sample(range(n), n)
+                    if rng.random() < 0.5:  # the lane's first and last symbols
+                        order.sort(key=lambda i: i not in (0, n - 1))
+                    places = order[:p + q]
+                    u = [rng.choice("01") for _ in range(n)]
+                    for i in places[:p]:
+                        u[i] = "1"
+                    for i in places[p:]:
+                        u[i] = "0"
+                    v = list(u)
+                    for i in places:
+                        v[i] = "10"[int(u[i])]
+                    u, v = "".join(u), "".join(v)
+                    assert analysis.transposition_counts(u, v) == (p, q)
+                    want = analysis.gray_close(p, q)
+                    for words in ([u, v], [u, u, u, v, v, v]):
+                        assert analysis._lanes_close(_lines(words), n + 1) == want, words
+        for words in ([zeros, ones], [ones, zeros], [zeros, zeros, ones, ones],
+                      [ones, ones, zeros, zeros], [zeros, ones] * 3):
+            want = n <= 2
             assert analysis._lanes_close(_lines(words), n + 1) == want, words
+            assert _block_report(words, False, len(words)) == _pairwise_report(words, False)
 
     def test_full_lanes_do_not_carry(self):
         ones, zeros = "1" * 255, "0" * 255
@@ -208,19 +281,25 @@ class TestGrayBlocks:
         assert analysis._lanes_close(_lines([ones, ones, ones[:-2] + "00"]), 256)
         assert _block_report([ones, zeros, ones], True, 3) == _pairwise_report(
             [ones, zeros, ones], True)
-        # p = 256 would carry out of its lane
-        assert analysis.GrayChecker().feed_block(_lines([ones + "1", zeros + "0"])) == 0
+        # p = 256 and p = 1024 are no limit: bit lanes never carry
+        for width in (256, 1024):
+            words = ["1" * width, "0" * width, "0" * (width - 2) + "11"]
+            assert not analysis._lanes_close(_lines(words), width + 1)
+            report = _block_report(words, False, 3)
+            assert report == analysis.verify_gray(words)
+            assert [(v.index, v.p, v.q) for v in report.violations] == [(0, width, 0)]
 
     @pytest.mark.parametrize("block", [
         b"", b"1000", b"\n", b"1000\n\n", b"1000\r\n1100\r\n", b"1000\n110\n",
         b"1000\n1100", b"10\n1100\n", b"1000\n1\xff00\n", b"1000\n0b10\n",
-        b"1000\n 100\n", ("1" * 256 + "\n").encode() * 2])
+        b"1000\n 100\n", ("1" * 256 + "\n" + "1" * 255 + "\n").encode()])
     def test_refuses_and_feeds_nothing(self, block):
-        checker = analysis.GrayChecker()
-        checker.feed("1100")
-        before = copy.deepcopy(vars(checker))
-        assert checker.feed_block(block) == 0
-        assert vars(checker) == before
+        fresh, fed = analysis.GrayChecker(), analysis.GrayChecker()
+        fed.feed("1100")
+        for checker in (fresh, fed):
+            before = copy.deepcopy(vars(checker))
+            assert checker.feed_block(block) == 0
+            assert vars(checker) == before
 
     def test_refuses_a_width_change_between_blocks(self):
         checker = analysis.GrayChecker()
@@ -287,8 +366,9 @@ class TestFeedBytes:
                     got = str(exc)
                 assert got == whole, (name, cut)
 
-    @pytest.mark.parametrize("n", [255, 300])  # the kernel, and line by line
-    def test_lines_longer_than_four_pieces(self, n):
+    @pytest.mark.parametrize("n", [255, 300])  # both take the kernel, at any width
+    def test_lines_longer_than_four_pieces(self, n, monkeypatch):
+        monkeypatch.setattr(analysis.GrayChecker, "_feed_line", None)  # not line by line
         rng = random.Random(n)
         x, words = rng.getrandbits(n), []
         for _ in range(50):

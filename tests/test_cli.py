@@ -558,9 +558,9 @@ def _violation_lines(words, cyclic=False):
 
 
 class TestVerifyGrayBlocks:
-    """verify-gray reads whole-line blocks; the ones feed_block refuses are
-    fed line by line, with the messages, line numbers and exit codes that
-    line-by-line feeding gives."""
+    """verify-gray reads whole-line blocks of any width; the ones feed_block
+    refuses are fed line by line, with the messages, line numbers and exit
+    codes that line-by-line feeding gives."""
 
     LISTING = "".join(w + "\n" for w in pnoracle.pn_words(16)).encode()  # 7,568 lines
 
@@ -610,11 +610,12 @@ class TestVerifyGrayBlocks:
         monkeypatch.setattr(analysis.GrayChecker, "feed_block", lambda self, block: 0)
         assert _verify_stdin(monkeypatch, capsys, data) == got
 
-    def test_words_longer_than_a_lane_go_line_by_line(self, monkeypatch, capsys):
-        def kernel(*args):
-            raise AssertionError("a width-300 block reached the kernel")
-
-        monkeypatch.setattr(analysis, "_lanes_close", kernel)
+    def test_words_longer_than_255_take_the_kernel(self, monkeypatch, capsys):
+        calls = []
+        kernel = analysis._lanes_close
+        monkeypatch.setattr(analysis, "_lanes_close",
+                            lambda *args: calls.append(args) or kernel(*args))
+        monkeypatch.setattr(analysis.GrayChecker, "_feed_line", None)  # no line alone
         rng = random.Random(300)
         x, words = rng.getrandbits(300), []
         for _ in range(600):
@@ -624,10 +625,35 @@ class TestVerifyGrayBlocks:
         code, out, err = _verify_stdin(monkeypatch, capsys,
                                        "".join(w + "\n" for w in words).encode())
         report = analysis.verify_gray(words)
-        assert len(report.violations) > 5
+        assert len(report.violations) > 5 and len(calls) == 3  # one per 64 KiB chunk
         assert (code, err) == (1, "")
         assert out == (f"words=600 pairs=599 violations={len(report.violations)}\n"
                        + _violation_lines(words))
+
+    @pytest.mark.parametrize("violating", [False, True])
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_long_listings_report_what_verify_gray_does(self, n, violating, monkeypatch,
+                                                         capsys):
+        """Words of 256 and 1024 symbols over several 64 KiB chunks, all
+        close or with one pair that goes 1 -> 0 in three positions."""
+        monkeypatch.setattr(analysis.GrayChecker, "_feed_line", None)  # no line alone
+        rng = random.Random(n)
+        x, words = rng.getrandbits(n), []
+        for i in range(150_000 // n):
+            if violating and i == 100:
+                for j in rng.sample([j for j in range(n) if x >> j & 1], 3):
+                    x ^= 1 << j
+            else:
+                for j in rng.sample(range(n), rng.randrange(3)):
+                    x ^= 1 << j
+            words.append(format(x, f"0{n}b"))
+        data = "".join(w + "\n" for w in words).encode()
+        assert len(data) > 2 * bubble._BATCH_BYTES
+        report = analysis.verify_gray(words)
+        assert [v.index for v in report.violations] == [99] * violating
+        assert _verify_stdin(monkeypatch, capsys, data) == (
+            int(violating), f"words={len(words)} pairs={len(words) - 1} "
+            f"violations={int(violating)}\n" + _violation_lines(words), "")
 
 
 def _simple_words(n):
