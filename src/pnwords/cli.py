@@ -6,9 +6,10 @@ only writes the text that ``bubble._lines`` renders, in batches of whole
 lines of about 64 KiB, so ``generate | head`` sees its first line only
 after the first batch.  Every listing but ``--algo simple`` makes one
 ``pnoracle._run_weights`` call with ``out.write``, which renders a full
-listing with 20 <= n <= 24 one weight class per forked worker, on every
-usable core, and writes the workers' batches as they are, in listing
-order; ``--weight`` and other n stream from one process.  These
+listing with 20 <= n <= 24 in forked workers, one per usable core, that
+claim weight classes and stream their batches to the parent, which
+writes them as they are, in listing order; ``--weight`` and other n
+stream from one process.  These
 listings, and ``verify-gray --n``, copy the rows of memoized subtrees
 instead of walking them again (see ``pnoracle``); the library's
 ``visit`` sinks, ``validate`` and ``bench`` walk every node.

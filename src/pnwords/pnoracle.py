@@ -78,18 +78,19 @@ pay for the memo one comparison per edge and one test per node.
 
 The weight classes share no state, so once n is large enough for it to
 pay, ``_run_weights`` walks them in a pool of forked processes, one per
-usable core.  A memoized count runs one task per worker, and the tasks
-claim classes from a shared claim state until none is left: with two
-workers one climbs from d = 0 and the other descends from d = n until
-they meet.  Each walks its classes with one memo, as a serial run does,
-and the parent, which holds none, sums their counters.  Other runs go
-out one class per task, in listing order with one class per worker of
-lookahead.  A count with no memo (no ``visit`` sink) sums their
-counters; a listing run (a ``write``, from the CLI) also gets each
-class's text, which its worker renders, with a memo of the class's own,
-through ``bubble._lines`` into 64 KiB batches of whole lines, and the
-parent writes the batches as they are, in listing order.  A library
-call with a ``visit`` sink stays serial.
+usable core.  A memoized count and a listing run (a ``write``, from the
+CLI) run one task per worker, and the tasks claim classes from a shared
+claim state until none is left: with two workers one climbs from the
+first class and the other descends from the last until they meet.  Each
+walks its classes with one memo per order, as a serial run does.  A
+count's tasks return their counters, which the parent, holding no memo,
+sums.  A listing's tasks render each class through ``bubble._lines`` and
+stream its 64 KiB batches to the parent as frames on one pipe, as they
+are cut; the parent writes the class that is due as it arrives, holds
+the frames of later classes until their turn, and sums the counters that
+end each class.  A count with no memo (no ``visit`` sink) goes out one
+class per task, in listing order with one class per worker of lookahead.
+A library call with a ``visit`` sink stays serial.
 """
 
 import os
@@ -387,12 +388,15 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
-def _fork_pool(workers, claims=0):
-    """A ``multiprocessing.Pool`` of forked workers that ignore SIGINT, or
-    None when no pool can be started.  Ctrl-C reaches the parent, whose
-    ``with`` exit terminates them.  With claims, the workers also inherit
-    the claim state of that many classes for ``_walk_claimed``: a shared
-    anonymous ``mmap`` of one byte per class, all free, and a lock.
+def _fork_pool(workers, claims=0, stream=False):
+    """A ``multiprocessing.Pool`` of forked workers that ignore SIGINT, and
+    the state they share, or (None, None) when no pool can be started.  Ctrl-C
+    reaches the parent, whose ``with`` exit terminates them.  With claims,
+    the workers inherit the claim state of that many classes for
+    ``_claimed``: a shared anonymous ``mmap`` of one byte per class, all
+    free, and a lock; with stream too, a pipe's read and write ends and a
+    lock under which a worker writes each frame whole (see
+    ``_list_claimed``).
 
     The workers are forked whatever the default start method is: spawn
     and forkserver workers import the caller's main module again, which
@@ -402,31 +406,37 @@ def _fork_pool(workers, claims=0):
     threads; while other threads run, as a lock one of them holds would
     stay locked in the child; and in a daemonic process, such as a
     ``multiprocessing.Pool`` worker, which may not have children.  It
-    also stays serial where the claim state cannot be made."""
+    also stays serial where the claim state or the pipe cannot be made."""
     import multiprocessing
     import threading
     if (sys.platform == "darwin" or threading.active_count() > 1
             or multiprocessing.current_process().daemon):
-        return None
+        return None, None
     try:
         context = multiprocessing.get_context("fork")
         shared = None
         if claims:
             import mmap
             shared = mmap.mmap(-1, claims), context.Lock()
-        return context.Pool(workers, _start_worker, (shared,))
+            if stream:
+                shared += (*context.Pipe(duplex=False), context.Lock())
+        return context.Pool(workers, _start_worker, (shared,)), shared
     except (ValueError, OSError, ImportError):  # no fork, no semaphores, or no sem_open
-        return None
+        return None, None
 
 
 _claims = None  # in a pool worker: the claim state it inherited, or None
 
 
 def _start_worker(claims):
-    """Pool initializer: leave Ctrl-C to the parent and keep the claims."""
+    """Pool initializer: leave Ctrl-C to the parent and keep the claims.
+    A listing's worker closes its copy of the pipe's read end, so that once
+    the parent is gone its next frame fails and it ends."""
     import signal
     global _claims
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    if claims is not None and len(claims) > 2:
+        claims[2].close()
     _claims = claims
 
 
@@ -469,20 +479,57 @@ def _walk_classes(n, classes, visit, validate, memoize, write=None):
     return results
 
 
-def _walk_class(n, d, order, validate, render):
-    """One task of a pooled listing, or of a count with no memo: the
-    counters of the weight-d class and, when render is set, its listing
-    as text batches, made with a memo of the class's own."""
-    batches = []
-    (counts,) = _walk_classes(n, [(d, order)], None, validate, render,
-                              batches.append if render else None)
-    return counts, batches
-
-
 def _walk_claimed(n, classes):
     """One task of a pooled memoized count: the counters of each class the
     worker claims, walked with one memo per order."""
     return _walk_classes(n, map(classes.__getitem__, _claimed(*_claims)), None, False, True)
+
+
+def _list_claimed(n, classes, validate):
+    """One task of a pooled listing: render each class k the worker claims,
+    with one memo per order, and send it on the shared pipe as frames, each
+    written whole under the pipe's lock: (k, text) for each batch of
+    ``bubble._lines``, then (k, counters), and None once no class is left
+    or the task fails, so the parent never waits on a pipe nobody writes."""
+    taken, lock, _, pipe, sending = _claims
+
+    def send(frame):
+        with sending:
+            pipe.send(frame)
+
+    lines = bubble._lines(lambda text: send((k, text)))  # k: the class being rendered
+    memos = {}
+    try:
+        for k in _claimed(taken, lock):
+            d, order = classes[k]
+            counts = _gen_weight(n, d, None, order, validate, memo=memos.setdefault(order, {}),
+                                 lines=lines)
+            lines.flush()
+            send((k, counts))
+    finally:
+        send(None)
+
+
+def _write_frames(receive, tasks, write):
+    """Read the frames of ``_list_claimed`` with receive until each of the
+    tasks has sent its last, and return the classes' counters in listing
+    order.  The text of the class that is due is written at once; frames
+    of later classes are held until their turn."""
+    results, held = [], {}  # held: class -> its frames not yet written
+    while tasks:
+        frame = receive()
+        if frame is None:
+            tasks -= 1
+            continue
+        k, body = frame
+        held.setdefault(k, []).append(body)
+        while len(results) in held:  # the class that is due
+            for body in held.pop(len(results)):
+                if isinstance(body, str):
+                    write(body)
+                else:  # its counters, which end it
+                    results.append(body)
+    return results
 
 
 def _run_weights(n, classes, visit, validate, write=None, memoize=False):
@@ -495,42 +542,45 @@ def _run_weights(n, classes, visit, validate, write=None, memoize=False):
 
     In a process pool when n >= ``_POOL_MIN_N``, more than one core and
     class are usable, there is no ``visit`` and, with a ``write``,
-    n <= ``_RENDER_MAX_N``.  A memoized count runs one task per worker,
-    which claims classes (see ``_claimed``) until none is left and walks
-    them with a memo that serves all of them, so with two workers one
-    climbs from the lightest class and the other descends from the
-    heaviest.  Other runs submit one task per class, in listing order
-    with at most ``workers`` held ahead of the one being consumed, so a
-    rendering parent holds few classes, and their batches are written as
-    they are, in listing order; each class of a listing gets a memo of
-    its own.  Otherwise, or when no pool can be started, the classes are
-    walked serially."""
+    n <= ``_RENDER_MAX_N``.  A memoized count or a listing runs one task
+    per worker, which claims classes (see ``_claimed``) until none is
+    left and walks them with one memo per order, so with two workers one
+    climbs from the first class and the other descends from the last.  A
+    count's tasks return their counters.  A listing's tasks stream each
+    class as it is rendered (see ``_list_claimed``), and the parent writes
+    the class that is due and holds only the frames of later ones (see
+    ``_write_frames``).  A count with no memo submits one task per class,
+    with at most ``workers`` held ahead of the one being consumed.
+    Otherwise, or when no pool can be started, the classes are walked
+    serially."""
     memoize = memoize or write is not None
-    claim = memoize and write is None
     workers = min(_cores(), len(classes))
     pool = None
     if (n >= _POOL_MIN_N and workers > 1  # checked before the multiprocessing import
             and visit is None and (write is None or n <= _RENDER_MAX_N)):
-        pool = _fork_pool(workers, len(classes) if claim else 0)
+        pool, shared = _fork_pool(workers, len(classes) if memoize else 0, write is not None)
     if pool is None:
         results = _walk_classes(n, classes, visit, validate, memoize, write)
-    elif claim:
+    elif write is not None:
+        _, _, reader, writer, _ = shared
+        with reader, writer, pool:  # the pool is terminated first
+            tasks = [pool.apply_async(_list_claimed, (n, classes, validate))
+                     for _ in range(workers)]
+            results = _write_frames(reader.recv, workers, write)
+            for task in tasks:
+                task.get()  # a worker's error re-raises here
+    elif memoize:
         with pool:
             tasks = [pool.apply_async(_walk_claimed, (n, classes)) for _ in range(workers)]
             results = [counts for task in tasks for counts in task.get()]
     else:
-        render = write is not None
         results = []
         with pool:
             pending = deque()
             for k, (d, order) in enumerate(classes, 1):
-                pending.append(pool.apply_async(_walk_class, (n, d, order, validate, render)))
+                pending.append(pool.apply_async(_gen_weight, (n, d, None, order, validate)))
                 while len(pending) > (workers if k < len(classes) else 0):  # all after the last
-                    counts, batches = pending.popleft().get()
-                    results.append(counts)
-                    for text in batches:
-                        write(text)
-                    del batches  # else held while the next class is awaited
+                    results.append(pending.popleft().get())
     return GenerationStats(*map(sum, zip(*results)))
 
 

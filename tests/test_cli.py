@@ -239,7 +239,9 @@ class TestCliSubprocess:
                                       ["generate", "--n", "24"]],
                              ids=["pooled-count", "serial-generate", "pooled-generate"])
     def test_ctrl_c_exits_130_without_traceback(self, argv):
-        script = ("from pnwords import cli, pnoracle\n"
+        script = ("import signal\n"  # SIGINT may be ignored where pytest was started
+                  "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+                  "from pnwords import cli, pnoracle\n"
                   "pnoracle._cores = lambda: 2\n"  # count and n = 24 use a pool even on one core
                   "cli.main()\n")
         # stdout is read only after the signal, so a listing that outruns the
@@ -263,8 +265,9 @@ class TestCliSubprocess:
 
 @needs_fork_pool
 class TestPooledGenerate:
-    """A full listing with _POOL_MIN_N <= n <= _RENDER_MAX_N is rendered one
-    weight class per worker and written in listing order."""
+    """A full listing with _POOL_MIN_N <= n <= _RENDER_MAX_N is rendered by
+    workers that claim weight classes and stream them to the parent, which
+    writes them in listing order."""
 
     @pytest.mark.parametrize("options, listing", [
         ([], lambda sink: pnoracle.generate_all_pn(16, sink)),
@@ -324,15 +327,47 @@ class TestPooledGenerate:
 
     def test_pipe_closing_mid_listing_exits_0_and_ends_workers(self, pooled, monkeypatch,
                                                                capsys):
-        # n = 16 lists 7,568 words of 17 bytes; the reader leaves after 1,000
-        out = ClosingPipe(1000 * 17)
-        monkeypatch.setattr(sys, "stdout", out)
-        assert cli.run(["generate", "--n", "16"]) == 0
-        assert pooled == [2] and multiprocessing.active_children() == []
-        written = out.getvalue()
+        # n = 16 lists 7,568 words of 17 bytes; the reader leaves after 1,000,
+        # or after 5,000, when the parent holds classes the second worker sent
         listing = "".join(w + "\n" for w in pnoracle.pn_words(16))
-        assert written and len(written) < len(listing) and listing.startswith(written)
-        assert capsys.readouterr().err == ""
+        for words in (1000, 5000):
+            out = ClosingPipe(words * 17)
+            monkeypatch.setattr(sys, "stdout", out)
+            assert cli.run(["generate", "--n", "16"]) == 0
+            assert multiprocessing.active_children() == []
+            written = out.getvalue()
+            assert written and len(written) < len(listing) and listing.startswith(written)
+        assert pooled == [2, 2] and capsys.readouterr().err == ""
+
+    @pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
+    def test_killed_parent_leaves_no_worker(self):
+        # stdout is never read, so the parent stops in a write and its workers
+        # in sending frames; a killed parent terminates no pool, and its workers
+        # end once their frames fail, as no process holds the read end any more
+        script = ("from pnwords import cli, pnoracle\n"
+                  "pnoracle._cores = lambda: 2\n"  # n = 24 uses a pool even on one core
+                  "cli.main()\n")
+        proc = subprocess.Popen([sys.executable, "-c", script, "generate", "--n", "24"],
+                                start_new_session=True, stdout=subprocess.PIPE,
+                                stderr=subprocess.DEVNULL)
+        try:
+            time.sleep(1.5)
+            proc.kill()
+            proc.wait(timeout=30)
+            deadline = time.monotonic() + 30
+            while True:
+                try:
+                    os.killpg(proc.pid, 0)
+                except ProcessLookupError:
+                    break
+                assert time.monotonic() < deadline, "a worker outlived its killed parent"
+                time.sleep(0.05)
+        finally:
+            proc.stdout.close()
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
 
 
 class TestCliInProcess:

@@ -64,6 +64,16 @@ def _broken_walk(n, d, visit, order, validate, **memo_and_lines):
     raise pnoracle.GenerationInvariantError(f"weight {d} of {n} failed")
 
 
+_real_gen_weight = pnoracle._gen_weight
+
+
+def _walk_then_fail(n, d, visit, order, validate, **memo_and_lines):
+    # sends its class's text to the parent, then fails before its counters
+    _real_gen_weight(n, d, visit, order, validate, **memo_and_lines)
+    memo_and_lines["lines"].flush()
+    raise pnoracle.GenerationInvariantError(f"weight {d} of {n} failed after its text")
+
+
 def _count_in_worker(n):
     return counters(pnoracle.generate_all_pn(n))
 
@@ -717,7 +727,9 @@ class TestWeightPool:
 
     @pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
     def test_ctrl_c_ends_parent_and_workers(self):
-        script = ("from pnwords import pnoracle\n"
+        script = ("import signal\n"  # SIGINT may be ignored where pytest was started
+                  "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+                  "from pnwords import pnoracle\n"
                   "pnoracle._cores = lambda: 2\n"
                   "pnoracle.generate_all_pn(30)\n")
         proc = subprocess.Popen([sys.executable, "-c", script], start_new_session=True,
@@ -761,12 +773,17 @@ class TestWeightPool:
         assert counters(pnoracle.generate_all_pn(13)) == COUNTERS[13]
         assert pooled == [2]
 
-    def test_pooled_listing_returns_the_serial_stats(self, pooled):
-        texts, visited = [], []
-        stats = pnoracle._run_weights(12, pnoracle._classes(12), None, False, texts.append)
-        assert pooled == [2] and visited == []  # the workers rendered the words
-        assert "".join(texts) == "".join(w + "\n" for w in pnoracle.pn_words(12))
-        assert stats == pnoracle.generate_all_pn(12, bubble.Collector())
+    def test_listing_without_a_pipe_runs_serially(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise OSError("no file descriptors left")
+
+        made = []
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: SimpleNamespace(
+            Pool=lambda *args: made.append(args), Lock=threading.Lock, Pipe=refuse))
+        monkeypatch.setattr(pnoracle, "_POOL_MIN_N", 0)
+        monkeypatch.setattr(pnoracle, "_cores", lambda: 2)
+        assert _list(12, pnoracle._classes(12)) == (_full_walk(12, "coolex", False), COUNTERS[12])
+        assert made == []
 
     def test_worker_error_reraises_in_parent(self, pooled, monkeypatch):
         monkeypatch.setattr(pnoracle, "_gen_weight", _broken_walk)
@@ -774,7 +791,14 @@ class TestWeightPool:
             pnoracle.generate_all_pn(6, validate=True)
         with pytest.raises(pnoracle.GenerationInvariantError, match=r"weight \d of 6 failed"):
             pnoracle.count_all_pn(6)  # through the claiming tasks
-        assert pooled == [2, 2]
+        # a listing task fails after it has sent the text of its first class:
+        # the parent has written the lightest class, and re-raises, not hangs
+        monkeypatch.setattr(pnoracle, "_gen_weight", _walk_then_fail)
+        texts = []
+        with pytest.raises(pnoracle.GenerationInvariantError, match=r"failed after its text"):
+            pnoracle._run_weights(6, pnoracle._classes(6), None, False, texts.append)
+        assert texts == ["000000\n"]
+        assert pooled == [2, 2, 2] and multiprocessing.active_children() == []
 
 
 class FakePool:
@@ -792,7 +816,7 @@ class FakePool:
         return False
 
     def apply_async(self, func, args):
-        self.submitted.append(args[1:3])  # (d, order)
+        self.submitted.append((args[1], args[3]))  # _gen_weight's (d, order)
         self.outstanding += 1
         self.most = max(self.most, self.outstanding)
 
@@ -803,16 +827,38 @@ class FakePool:
 
 
 class TestPoolLoop:
-    """The pool loops of _run_weights: a memoized count runs one claiming
-    task per worker; other runs send classes out in listing order with at
-    most one per worker ahead of the one consumed."""
+    """The pool loops of _run_weights: a memoized count and a listing run one
+    claiming task per worker, and a listing's tasks stream their classes to
+    the parent; a count with no memo sends classes out in listing order with
+    at most one per worker ahead of the one consumed."""
 
     @pytest.fixture
     def fake_pool(self, monkeypatch):
         pool = FakePool()
-        monkeypatch.setattr(pnoracle, "_fork_pool", lambda workers, claims=0: pool)
+        monkeypatch.setattr(pnoracle, "_fork_pool",
+                            lambda workers, claims=0, stream=False: (pool, None))
         monkeypatch.setattr(pnoracle, "_POOL_MIN_N", 0)
         return pool
+
+    @pytest.fixture
+    def thread_pool(self, monkeypatch):
+        """Claiming tasks run as threads that switch every microsecond, so
+        their claims, and a listing's frames, interleave."""
+        def make(workers, claims=0, stream=False):
+            shared = bytearray(claims), threading.Lock()
+            if stream:
+                shared += (*multiprocessing.Pipe(duplex=False), threading.Lock())
+            monkeypatch.setattr(pnoracle, "_claims", shared)
+            return ThreadPool(workers), shared
+
+        monkeypatch.setattr(pnoracle, "_fork_pool", make)
+        monkeypatch.setattr(pnoracle, "_POOL_MIN_N", 0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_counting(self, fake_pool, monkeypatch, workers):
@@ -823,9 +869,7 @@ class TestPoolLoop:
         assert fake_pool.most == workers + 1 and fake_pool.outstanding == 0
 
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_memoized_counting_claims_each_class_once(self, monkeypatch, workers):
-        # the claiming tasks run as threads that switch every microsecond,
-        # so their claims interleave
+    def test_memoized_counting_claims_each_class_once(self, thread_pool, monkeypatch, workers):
         seen = []
         real = pnoracle._gen_weight
 
@@ -833,28 +877,17 @@ class TestPoolLoop:
             seen.append((threading.get_ident(), d, kwargs["memo"]))
             return real(n, d, visit, order, validate, **kwargs)
 
-        def thread_pool(workers, claims=0):
-            monkeypatch.setattr(pnoracle, "_claims", (bytearray(claims), threading.Lock()))
-            return ThreadPool(workers)
-
         monkeypatch.setattr(pnoracle, "_gen_weight", spy)
-        monkeypatch.setattr(pnoracle, "_fork_pool", thread_pool)
-        monkeypatch.setattr(pnoracle, "_POOL_MIN_N", 0)
         monkeypatch.setattr(pnoracle, "_cores", lambda: workers)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for n in (0, 1, 2, 12):  # fewer classes than workers below n = 2
-                seen.clear()
-                assert counters(pnoracle.count_all_pn(n)) == COUNTERS[n], n
-                assert sorted(d for _, d, _ in seen) == list(range(n + 1)), n
-                memos = {}  # thread -> the memos it walked with: one per task
-                for thread, _, memo in seen:
-                    memos.setdefault(thread, {})[id(memo)] = memo
-                assert all(len(task) == 1 for task in memos.values()), n
-                assert len({id(memo) for _, _, memo in seen}) == len(memos) <= workers, n
-        finally:
-            sys.setswitchinterval(interval)
+        for n in (0, 1, 2, 12):  # fewer classes than workers below n = 2
+            seen.clear()
+            assert counters(pnoracle.count_all_pn(n)) == COUNTERS[n], n
+            assert sorted(d for _, d, _ in seen) == list(range(n + 1)), n
+            memos = {}  # thread -> the memos it walked with: one per task
+            for thread, _, memo in seen:
+                memos.setdefault(thread, {})[id(memo)] = memo
+            assert all(len(task) == 1 for task in memos.values()), n
+            assert len({id(memo) for _, _, memo in seen}) == len(memos) <= workers, n
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(size=st.integers(0, 24), claimers=st.sampled_from([2, 3]),
@@ -882,13 +915,40 @@ class TestPoolLoop:
 
     @pytest.mark.parametrize("workers", [2, 3])
     @ORDERS
-    def test_listing(self, fake_pool, monkeypatch, workers, order, cyclic):
-        expected = [w + "\n" for w in pnoracle.pn_words(12, cyclic=cyclic, order=order)]
+    def test_listing(self, thread_pool, monkeypatch, workers, order, cyclic):
+        # each class is rendered once, each task keeps one memo per order,
+        # and the frames the tasks interleave are written as the listing
+        seen = []
+        real = pnoracle._gen_weight
+
+        def spy(n, d, visit, order, validate, **kwargs):
+            seen.append((threading.get_ident(), d, order, kwargs["memo"]))
+            return real(n, d, visit, order, validate, **kwargs)
+
+        monkeypatch.setattr(pnoracle, "_gen_weight", spy)
         monkeypatch.setattr(pnoracle, "_cores", lambda: workers)
-        classes = pnoracle._classes(12, order, cyclic)
-        texts, visited = [], []
-        stats = pnoracle._run_weights(12, classes, None, False, texts.append)  # one batch a class
-        assert "".join(texts) == "".join(expected) and visited == []
-        assert len(texts) == len(classes) and fake_pool.submitted == classes
-        assert fake_pool.most == workers + 1 and fake_pool.outstanding == 0
-        assert counters(stats) == COUNTERS[12]
+        for n in range(13):
+            expected = _full_walk(n, order, cyclic), COUNTERS[n]
+            seen.clear()
+            classes = pnoracle._classes(n, order, cyclic)
+            assert _list(n, classes) == expected, n
+            assert sorted((d, o) for _, d, o, _ in seen) == sorted(classes), n
+            memos = {}  # (thread, order) -> the memos it rendered with
+            for thread, _, o, memo in seen:
+                memos.setdefault((thread, o), set()).add(id(memo))
+            assert all(len(ids) == 1 for ids in memos.values()), n
+            assert len({id(memo) for *_, memo in seen}) == len(memos), n
+
+    def test_frames_are_written_in_listing_order(self):
+        # one task climbs through class 0, the other descends from class 2:
+        # class 0 is written as it arrives, classes 1 and 2 once it has ended
+        frames = [(2, "e\n"), (0, "a\n"), (2, (3,) * 5), (1, "c\n"), (0, "b\n"), (1, "d\n"),
+                  (1, (2,) * 5), None, (0, (1,) * 5), None]
+        log = []
+        receive = iter(frames).__next__  # StopIteration if read past the second None
+        results = pnoracle._write_frames(lambda: log.append(receive()) or log[-1], 2,
+                                         lambda text: log.append(text))
+        assert results == [(1,) * 5, (2,) * 5, (3,) * 5]
+        assert log == [(2, "e\n"), (0, "a\n"), "a\n", (2, (3,) * 5), (1, "c\n"), (0, "b\n"),
+                       "b\n", (1, "d\n"), (1, (2,) * 5), None, (0, (1,) * 5),
+                       "c\n", "d\n", "e\n", None]
