@@ -9,28 +9,43 @@ runs this way).  Without one it computes j for prefix normal words
 itself: swapping the s-th and (s+j)-th symbols keeps the word prefix
 normal unless either the window starting at the moved 1 collects s or
 more 1s, or the suffix beyond the old critical prefix already has a
-window of length s+j-1 with s or more 1s.  The latter maxima are kept in
-an array ``f`` that is updated in O(s+i) time per tree edge and restored
-from a saved slice on the way back up, so the work per generated word is
-proportional to its critical prefix length.  The edge into child i
-(x = s + i) updates f[k] only for k < x, all that the child, whose
-s + t is x - 1, and its subtree read, and only from gamma's first
-symbol on.  A walk with no memo, no validation and no ``visit`` sink
-does not enter leaves (37% of the nodes at n = 21, 49% at n = 8, 36%
-at n = 23): the parent reads the child's first bound test before the
-swap, and counts a leaf itself.
-The five ``GenerationStats`` counters stay those of the reference walk,
-which enters every node and reads x + 1 symbols to update f on each
-edge; the walker adds them wherever it does less, as a memo hit does.
+window of length s+j-1 with s or more 1s, that is with j or fewer 0s.
+The fewest 0s of each window length are kept in a table ``g``: g[k] is
+the fewest 0s in a length-k window of the suffix, zero-padded, which is
+k - f[k] for the window maxima f of ``core.max_ones``.  So child j + 1
+(x = s + j + 1) is tested with g[x-1] <= j.  The table is updated in
+O(s+i) time per tree edge and restored from a saved slice on the way
+back up, so the work per generated word is proportional to its critical
+prefix length.
+
+The walk reads g only through such tests, and they see little of it.
+Along any path t never grows (child i has t' = i <= t), and a node tests
+g only against j < t (the leaf test below reads g[s-1] against 0), so
+below child i only min(g[k], i) is read.  The walk therefore keeps just
+that: at each node 1^s 0^t gamma, min(g[k], t) is exact for every
+k < s + t.  The edge into child i (x = s + i) sets g[k] to
+min(g[k], zeros(buf[x..x+k-1])) for k < x, the child's s + t, from
+gamma's first symbol on, and stops at the first window with i 0s: the
+count never falls as k grows, so no later window can bring a value
+below i.  For a prefix normal child that is at k = x - 1 at the latest,
+as its length-(x-1) prefix holds i 0s.  A walk with no memo, no
+validation and no ``visit`` sink does not enter leaves (37% of the nodes
+at n = 21, 49% at n = 8, 36% at n = 23): the parent reads the child's
+first bound test before the swap, and counts a leaf itself.  The five
+``GenerationStats`` counters stay those of the reference walk, which
+enters every node and reads x + 1 symbols to update its window table on
+each edge; the walker adds them wherever it does less, as a memo hit
+does.
 
 The walk is one iterative loop over an explicit stack, so weight classes
-of any depth work, with the swap, membership test and f upkeep written
+of any depth work, with the swap, membership test and g upkeep written
 inline.  ``validate=True`` checks them against independent references:
-``f`` against ``core.max_ones``, each bound against ``is_prefix_normal``
-through ``bubble.naive_oracle``, and each return from a child against
-the state before it was entered.  Both references run on ``core``'s
-bit-parallel window-maxima kernel, which shares no code with the upkeep
-of ``f`` here.
+min(g[k], t) against min(k - f[k], t) with f from ``core.max_ones``,
+for k < s + t, each bound against ``is_prefix_normal`` through
+``bubble.naive_oracle``, and each return from a child against the state
+before it was entered.  Both references run on ``core``'s bit-parallel
+window-maxima kernel, which shares no code with the upkeep of ``g``
+here.
 
 A run that only counts (``count_all_pn``, which serves ``count``,
 ``stats deficit`` and the prefix normal line of ``stats cr``), and a
@@ -38,26 +53,31 @@ listing made through ``write`` (``generate`` in every order, ``--cyclic``
 and ``--weight``, and ``verify-gray --n``), keep a memo of subtrees.
 Prefix normal words form a bubble language, so the subtree of a node
 1^s 0^t gamma holds words that all end in gamma, and the walk below the
-node reads little of gamma and of f.  The memo is keyed on the edge into
+node reads little of gamma and of g.  The memo is keyed on the edge into
 a child C, from the parent's state before the edge: the edge into child
 i of 1^s 0^t gamma, at x = s + i with s >= 2 and x <= ``_MEMO_CR`` + 1,
-has the key ``buf[1..2x-4] + f[1..x-2]``, one ``bytes``, whose length
-fixes x and whose leading 1s fix s.  The value is what the edge and C's
-subtree, C included, add to the five counters.  The key holds all that
-they read.  C has c' = x - 1 and s' = s - 1, and its subtree reads
-``buf`` up to 2c' - 2 = 2x - 4; after the swap at s and x <= 2x - 4 that
-region is fixed by the key.  The subtree also reads f'[1..c'-1], where
-f'[k] = max(f[k], ones(buf'[x..x+k-1])); for k <= x - 3 the window ends
-by 2x - 4, so the key fixes f'[k].  f'[x-2] may depend on ``buf[2x-3]``,
-outside the key, but only C's last bound test reads it:
-count(buf'[x..2x-4]) + 1 >= s' or f'[x-2] >= s'.  As ones(buf'[x..2x-3])
-<= count(buf'[x..2x-4]) + 1, that test equals count(...) + 1 >= s' or
-f[x-2] >= s', which the key fixes.  C's descendants have c <= x - 2 and
-read f only below x - 2.  So equal keys root equal subtrees.  Nothing
-in it depends on n or d, so one memo serves every class that a
+has the key ``buf[1..2x-4]`` + min(g[k], i) for k = 1..x-2, one
+``bytes``, whose length fixes x and whose leading 1s fix s, and so i.
+The value is what the edge and C's subtree, C included, add to the five
+counters.  The key holds all that they read.  C has c' = x - 1,
+s' = s - 1 and t' = i, and its subtree reads ``buf`` up to
+2c' - 2 = 2x - 4; after the swap at s and x <= 2x - 4 that region is
+fixed by the key.  The subtree also reads g'[1..c'-1], where
+g'[k] = min(g[k], zeros(buf'[x..x+k-1])), and only through
+min(g'[k], i) = min(min(g[k], i), zeros(...)); for k <= x - 3 the
+window ends by 2x - 4, so the key fixes it.  g'[x-2] may depend on
+``buf[2x-3]``, outside the key, but only C's last bound test reads it:
+count(buf'[x..2x-4]) + 1 >= s' or g'[x-2] <= i - 1.  The window
+buf'[x..2x-3] holds i - 1 or fewer 0s only when it holds s' or more 1s,
+and then count(buf'[x..2x-4]) + 1 >= s', so that test equals
+count(...) + 1 >= s' or g[x-2] <= i - 1, which the key fixes.  C's
+descendants have c <= x - 2 and read g only below x - 2.  So equal keys
+root equal subtrees.  The clamp leaves out what the subtree cannot see,
+so parents whose tables differ only at i or above share one entry.
+Nothing in it depends on n or d, so one memo serves every class that a
 process walks.  The walk looks the key up before the swap: if it is stored, the
 walk adds the stored counters and goes on to the next child, so a hit
-makes no edge (no swap, no f upkeep, no restore); if not, it takes the
+makes no edge (no swap, no g upkeep, no restore); if not, it takes the
 edge and stores the change in the counters from before the edge to C's
 return.
 
@@ -115,8 +135,9 @@ class GenerationStats:
     of the reference walk, which enters every node, tests its children
     left to right up to the first that fails (x - 2 symbols each, x = s + i
     at child i), and on each edge swaps two symbols and reads x + 1 of
-    them to update ``f``.  A walk that does less (a leaf counted from its
-    parent, ``f`` kept only below x, a memoized subtree skipped) adds the
+    them to update its window table.  A walk that does less (a leaf
+    counted from its parent, the table kept only as far as the child reads
+    it, a memoized subtree skipped) adds the
     same numbers, so every walk of a class gives the same counters.
     """
 
@@ -145,11 +166,14 @@ def _check_order(order: str) -> None:
 
 # Largest critical prefix length s + t of a memoized node (see the module
 # docstring).  The memo's size is bounded by it, not by n.  Serial counts
-# at n = 28 on one core of a 2-vCPU VM (medians of 3): 10 gives 54k
-# entries, a 27 MiB peak and 4.6 s; 12 gives 218k entries, 65 MiB and
-# 3.7 s; 8 gives 4k entries, 17 MiB and 10.0 s.  10 keeps the memo within
-# 11 MiB of the walk's own memory.
+# at n = 28 on one core of a 2-vCPU VM (medians of 3): 10 gives 26k
+# entries, a 21.5 MiB peak and 2.9 s; 12 gives 110k entries, 41 MiB and
+# 2.1 s; 8 gives 2.5k entries, 16.5 MiB and 6.7 s.  10 keeps the memo
+# within about 5 MiB of the walk's own memory.
 _MEMO_CR = 10
+
+# _CLAMP[i] maps each byte v to min(v, i): the memo key's g clamped to i
+_CLAMP = [bytes(range(c)) + bytes([c]) * (256 - c) for c in range(_MEMO_CR + 2)]
 
 
 def _gen_weight(n: int, d: int, visit, order: str, validate: bool, bound=None, memo=None,
@@ -163,22 +187,25 @@ def _gen_weight(n: int, d: int, visit, order: str, validate: bool, bound=None, m
 
     ``bound(s, t, word)``, when given, replaces the prefix normal test:
     it must return the bubble upper bound of the node 1^s 0^t gamma, and
-    the f upkeep is skipped.  validate applies to the prefix normal test.
+    the g upkeep is skipped.  validate applies to the prefix normal test.
 
     ``buf`` is 1-based and has length 2n+1; positions n+1..2n stay 0, so
-    window reads never need a bounds check.  ``f[i]`` is the maximum
-    number of 1s over length-i windows of the current node's suffix
-    (everything past the leading 1-run and 0-run) padded with zeros; it
-    is meaningful for i up to s+t and starts all zero at the root.  An
-    edge into child i (x = s + i) updates f[k] for k < x only, the child's
-    s + t, and saves and restores that slice.
+    window reads never need a bounds check.  ``g[k]`` is the fewest 0s
+    over length-k windows of the current node's suffix (everything past
+    the leading 1-run and 0-run) padded with zeros, and starts at k at
+    the root.  It is kept only as far as the walk reads it: min(g[k], t)
+    is exact for k < s + t.  An edge into child i (x = s + i) updates g[k]
+    for k < x, the child's s + t, up to the first window with i 0s, as
+    below the child only min(g[k], i) is read, and saves and restores the
+    slice from its first k to x.  A bytearray up to n = 254, where every
+    value fits in a byte, and a list above.
 
     With no memo, no validation and no sink (``bench`` and the library
     runs without a ``visit``), leaves are counted from their parent: a
     node works out which of its children have no child of their own
     before any swap and adds each such leaf's counters (its edge's and
     its own: 1 word, cr x - 1, 1 bound test, x + s - 1 reads, 2 swaps),
-    with no swap, no f upkeep and no stack frame.  It enters only the
+    with no swap, no g upkeep and no stack frame.  It enters only the
     other children, whose first child is then known to be a member.
     A run with a sink, ``lines`` or ``validate=True`` enters every node.
 
@@ -195,13 +222,14 @@ def _gen_weight(n: int, d: int, visit, order: str, validate: bool, bound=None, m
     One loop over a stack of frames (s, t, i, j, leaves, saved): parent
     node 1^s 0^t gamma, current child i, the parent's bound j, the bitmask
     of the children counted from the parent (bit i for child i), and the
-    f segment the child's update overwrote.
+    g segment the child's update overwrote.
     """
     if not 0 <= d <= n:
         raise ValueError(f"need 0 <= d <= n, got d={d}, n={n}")
     buf = bytearray(2 * n + 1)
     buf[1:d + 1] = bytes([1]) * d
-    f = bytearray(n + 2) if n < 256 else [0] * (n + 2)
+    small = n < 255  # g's values fit in bytes
+    g = bytearray(range(n + 2)) if small else list(range(n + 2))  # the root's suffix is empty
     word = memoryview(buf).toreadonly()[1:n + 1]
     pre = order != "coolex"
     step = -1 if order == "reverse" else 1
@@ -219,16 +247,21 @@ def _gen_weight(n: int, d: int, visit, order: str, validate: bool, bound=None, m
     stack = []
     pending = []  # (depth, key, counters and len(acc) before its edge) per memoized node walked
     saved = None
-    entered = []  # validate only: (buf, f) before each child's swap
+    entered = []  # validate only: (buf, g) before each child's swap
     naive = bubble.naive_oracle(core.is_prefix_normal) if validate else None
 
     def check_node(s, t, j):
-        # f[1..s+t] must equal the window maxima (core.max_ones) of the
-        # suffix past the critical prefix, zero-padded to length n.
-        brute = core.max_ones(word_str(buf[s + t + 1:s + t + 1 + n]))[1:s + t + 1]
-        if list(f[1:s + t + 1]) != brute:
+        # min(g[k], t) for k < s + t must be the fewest 0s of a length-k
+        # window of the suffix past the critical prefix, zero-padded to
+        # length n (k - f[k] with f from core.max_ones), clamped to t.
+        c = s + t
+        f = core.max_ones(word_str(buf[c + 1:c + 1 + n]))
+        want = [min(k - f[k], t) for k in range(1, c)]
+        got = [min(g[k], t) for k in range(1, c)]
+        if got != want:
             raise GenerationInvariantError(
-                f"f[1..{s + t}] = {list(f[1:s + t + 1])} != {brute} at {word_str(word)}")
+                f"min(g[k], {t}) for k in 1..{c - 1} is {got}, not {want} from"
+                f" core.max_ones f[1..{c - 1}], at {word_str(word)}")
         # The inlined test said yes to children 1..j and no to child j+1;
         # the naive oracle asks is_prefix_normal about the same children.
         expected = naive(s, t, word) if s and t else 0
@@ -238,7 +271,7 @@ def _gen_weight(n: int, d: int, visit, order: str, validate: bool, bound=None, m
 
     s, t = d, n - d
     j = leaves = 0
-    while True:  # buf and f hold the node 1^s 0^t gamma, just entered
+    while True:  # buf and g hold the node 1^s 0^t gamma, just entered
         if pre:
             count += 1
             cr_sum += s + t
@@ -246,10 +279,11 @@ def _gen_weight(n: int, d: int, visit, order: str, validate: bool, bound=None, m
                 visit(word)
         if s and t:
             if pn:  # child i (swap s, s+i) stays prefix normal unless its
-                # window s+i..2(s+i-1) or f[s+i-1] reaches s ones
+                # window s+i..2(s+i-1) or a length-(s+i-1) window of gamma
+                # reaches s ones: g[s+i-1] <= i - 1
                 while j < t:
                     x = s + j + 1
-                    if buf.count(1, x + 1, 2 * x - 1) + 1 >= s or f[x - 1] >= s:
+                    if buf.count(1, x + 1, 2 * x - 1) + 1 >= s or g[x - 1] <= j:
                         break
                     j += 1
                 k = j + (j < t)  # tests made, the one that failed included
@@ -258,12 +292,12 @@ def _gen_weight(n: int, d: int, visit, order: str, validate: bool, bound=None, m
                 if peel and j:  # bit i of leaves is set when child i is a leaf
                     # Child i, 1^(s-1) 0^i 1 0^(t-i) gamma, is a leaf when its
                     # first test fails: its window s+1..2s-2 is all 1s, or
-                    # f'[s-1] = max(f[s-1], ones(1 0^(t-i) gamma)) reaches s - 1.
+                    # g'[s-1] = min(g[s-1], zeros(1 0^(t-i) gamma)) is 0.
                     # The window is empty at s = 2; at s >= 3 it holds a 0
                     # unless i = 1 and (s = 3 or t = 1 and gamma starts with
                     # 1^(s-3)), and 1 0^(t-i) gamma starts with 1^(s-1) only
                     # when i = t and gamma starts with 1^(s-2).
-                    if s < 3 or f[s - 1] >= s - 1:  # all of them
+                    if s < 3 or not g[s - 1]:  # all of them
                         # their edges' and their own counters
                         count += j
                         cr_sum += j * (s - 1) + j * (j + 1) // 2
@@ -289,7 +323,9 @@ def _gen_weight(n: int, d: int, visit, order: str, validate: bool, bound=None, m
             if 0 < i <= j:  # descend into child i
                 x = s + i
                 if x <= memo_x and s > 1:  # the child has s, t > 0 and s + t = x - 1
-                    key = bytes(buf[1:2 * x - 3]) + bytes(f[1:x - 1])  # before the edge
+                    # before the edge, with g clamped to i: all that the subtree sees
+                    low = g[1:x - 1] if small else bytes(g[1:x - 1])
+                    key = bytes(buf[1:2 * x - 3]) + low.translate(_CLAMP[i])
                     done = memo.get(key)
                     if done is not None:  # walked before: add its edge's and subtree's counters
                         dc, dcr, dcalls, dreads, dswaps, rows = done
@@ -319,25 +355,32 @@ def _gen_weight(n: int, d: int, visit, order: str, validate: bool, bound=None, m
                     swaps += 2
                     continue
                 if validate:
-                    entered.append((bytes(buf), f[:]))
+                    entered.append((bytes(buf), g[:]))
                 buf[s] = 0
                 buf[x] = 1
-                if pn:  # f[k] = max(f[k], ones(buf[x..x+k-1])) for k < x, the
-                    # child's s + t; below k = t - i + 2 the window is 1 0^(k-1),
-                    # and f[k] >= 1 already at any node but the root, as its
-                    # gamma starts with a 1
+                if pn:  # g[k] = min(g[k], zeros(buf[x..x+k-1])) for k < x, the
+                    # child's s + t, until a window holds i 0s: the count never
+                    # falls, and below child i only min(g[k], i) is read.  Below
+                    # k = t - i + 2 the window is 1 0^(k-1), and g[k] <= k - 1
+                    # already at any node but the root, as its gamma starts with a 1
                     if stack:
                         fi = t - i + 2
-                        ones = 1
+                        z = t - i
                     else:
                         fi = 1
-                        ones = 0
-                    saved = f[fi:x]
-                    for b in buf[x + fi - 1:2 * x - 1]:
-                        ones += b
-                        if f[fi] < ones:
-                            f[fi] = ones
-                        fi += 1
+                        z = 0
+                    if z < i:
+                        saved = g[fi:x]
+                        for b in buf[x + fi - 1:2 * x - 1]:
+                            if not b:
+                                z += 1
+                                if z == i:
+                                    break
+                            if g[fi] > z:
+                                g[fi] = z
+                            fi += 1
+                    else:
+                        saved = b""
                     reads += x + 1  # counted as the reference update: buf[x..2x]
                 swaps += 2
                 stack.append((s, t, i, j, leaves, saved))
@@ -360,10 +403,10 @@ def _gen_weight(n: int, d: int, visit, order: str, validate: bool, bound=None, m
             s, t, i, j, leaves, saved = stack.pop()  # back up to the parent
             x = s + i
             if pn:
-                f[x - len(saved):x] = saved
+                g[x - len(saved):x] = saved
             buf[s] = 1
             buf[x] = 0
-            if validate and (bytes(buf), f[:]) != entered.pop():
+            if validate and (bytes(buf), g[:]) != entered.pop():
                 raise GenerationInvariantError(
                     f"state not restored after child {i} of {word_str(word)}")
 

@@ -127,8 +127,9 @@ class TestGenerateAll:
                 assert calls == []
 
     def test_validation_checks_f_against_the_lane_kernel(self, monkeypatch):
-        # the walker keeps f itself and never runs the kernel; a validated
-        # run checks f against core.max_ones, so a wrong table must fail it
+        # the walker keeps its fewest-0s table itself and never runs the
+        # kernel; a validated run checks the table against core.max_ones, so
+        # a wrong window maxima table must fail it
         kernel_runs = []
         real = core._window_max
 
@@ -152,7 +153,7 @@ class TestGenerateAll:
 
     @pytest.mark.parametrize("n", (15, 16))
     def test_validated_larger_lengths(self, n):
-        # exercises the per-node buffer and f-array restoration checksums
+        # exercises the per-node buffer and table restoration checksums
         pnoracle.generate_all_pn(n, validate=True)
 
     @pytest.mark.parametrize("n", range(1, 13))
@@ -340,8 +341,9 @@ class TestStatsAndInstrumentation:
     def test_symbol_reads_track_total_critical_prefix(self, n):
         # symbol_reads is the reference walk's cost model: per tree edge an
         # f update of x + 1 symbols, and per bound test a window of x - 2,
-        # x about the child's cr (the walk itself reads less: f only below
-        # x, and nothing of a leaf's own edge); so reads stay within a small
+        # x about the child's cr (the walk itself reads less: its table only
+        # up to the first window with i 0s, and nothing of a leaf's own
+        # edge); so reads stay within a small
         # constant multiple of the summed critical prefix lengths
         stats = pnoracle.generate_all_pn(n)
         assert 0.5 * stats.cr_sum <= stats.symbol_reads <= 6 * stats.cr_sum
@@ -391,7 +393,8 @@ class TestSubtreeMemo:
             for d in range(n + 1):
                 assert (pnoracle._gen_weight(n, d, None, order, False, memo=memo)
                         == pnoracle._gen_weight(n, d, None, order, False)), (n, d)
-        # a key is the parent's first 2x - 4 symbols and f[1..x-2], x <= _MEMO_CR + 1
+        # a key is the parent's first 2x - 4 symbols and g[1..x-2] clamped,
+        # x <= _MEMO_CR + 1
         assert memo and all(len(k) <= 3 * pnoracle._MEMO_CR - 3 for k in memo)
 
     def test_memo_is_off_with_a_sink_an_oracle_or_validation(self):
@@ -563,11 +566,21 @@ def _model_subtree(w, members, edges):
 
 def _model_key(w, x, n):
     """The memo key of the edge at x out of the node w: its first 2x - 4
-    symbols and the window maxima f[1..x-2] of its suffix past the critical
-    prefix, both zero-padded, from core.max_ones."""
-    padded = w + "0" * n
+    symbols and the fewest 0s g[k] = k - f[k] of a length-k window of its
+    suffix past the critical prefix for k = 1..x-2, clamped to i = x - s,
+    both zero-padded, with f from core.max_ones."""
+    cp = core.critical_prefix(w)
+    f = core.max_ones(cp.gamma + "0" * n)
+    return (bytes(map(int, (w + "0" * n)[:2 * x - 4]))
+            + bytes(min(k - f[k], x - cp.s) for k in range(1, x - 1)))
+
+
+def _unclamped_key(w, x, n):
+    """The key with f[1..x-2] unclamped, which the memo used before: it
+    tells apart parents whose tables differ only where the subtree's
+    bound tests cannot see."""
     f = core.max_ones(core.critical_prefix(w).gamma + "0" * n)
-    return bytes(map(int, padded[:2 * x - 4])) + bytes(f[1:x - 1])
+    return bytes(map(int, (w + "0" * n)[:2 * x - 4])) + bytes(f[1:x - 1])
 
 
 class TestMemoKeyAudit:
@@ -575,7 +588,7 @@ class TestMemoKeyAudit:
     of the tree built from simple_generate_pn's words."""
 
     def test_edges_sharing_a_key_root_equal_subtrees(self):
-        seen, shared = {}, 0
+        seen, shared, unclamped = {}, 0, set()
         for n in range(13):
             for d, members in _pn_classes(n).items():
                 edges = []
@@ -586,12 +599,15 @@ class TestMemoKeyAudit:
                         continue
                     rows = tuple([v[:x - 1] for v in listing] for listing in listings)
                     key = _model_key(w, x, n)
+                    unclamped.add(_unclamped_key(w, x, n))
                     if key in seen:
                         assert seen[key] == (kid_totals, rows), (n, d, w, x)
                         shared += 1
                     else:
                         seen[key] = (kid_totals, rows)
         assert shared > len(seen) > 100
+        # the clamp merges edges that the unclamped key stored apart
+        assert len(seen) < len(unclamped)
         # the walker stores exactly these keys, with these counters and rows
         for k, order in enumerate(WALK_ORDERS):
             memo = {}
@@ -637,6 +653,21 @@ class TestMemoFillOrder:
                                             lines=lines) == stats, (n, d, order)
                 lines.flush()
                 assert "".join(texts) == text, (n, d, order)
+
+    @pytest.mark.parametrize("order", ["coolex", "visit-first"])
+    def test_long_words_key_their_list_table(self, order):
+        # from n = 255 the walker's table is a list, whose slice a key
+        # takes as bytes before the clamp
+        stats, text = _class_walk(260, 3, order)
+        assert stats[0] == 16770
+        counting, listing, texts = {}, {}, []
+        assert pnoracle._gen_weight(260, 3, None, order, False, memo=counting) == stats
+        lines = bubble._lines(texts.append)
+        assert pnoracle._gen_weight(260, 3, None, order, False, memo=listing,
+                                    lines=lines) == stats
+        lines.flush()
+        assert "".join(texts) == text
+        assert counting and listing.keys() == counting.keys()
 
 
 @needs_fork_pool
